@@ -93,7 +93,7 @@ benchcheck:
 # delta-built epochs must match the direct (ClassifyUnderRate /
 # AdmissionDecision) recomputations.
 deltacheck:
-	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestDeltaFallback|TestNoDelta' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestDeltaFallback' ./internal/gpsmath ./internal/server
 
 # shardcheck is the sharded-writer differential gate, uncached and
 # race-enabled: the capacity ledger's budget invariant, concurrent

@@ -1290,23 +1290,25 @@ func benchAdmitThroughput(b *testing.B, name string, audited bool) {
 			b.Error(err)
 		}
 	})
-	// Shipping-enabled primary, wired exactly as cmd/gpsd wires it:
-	// source mounted, ack-driven watermark recompute, segments held
-	// until shipped. No follower polls during the benchmark — a pull
-	// moves segment bytes on the source's HTTP goroutine, never the
-	// decision path, so shipping adds no per-decision work by design.
+	// Shipping-enabled primary, wired like cmd/gpsd wires it: source
+	// mounted, ack-driven watermark recompute, segments held until
+	// shipped. No follower polls during the benchmark — a pull moves
+	// segment bytes on the source's HTTP goroutine, never the decision
+	// path, so shipping adds no per-decision work by design.
 	src := &replication.Source{
 		Dir:    benchDir,
 		NodeID: "bench",
-		Head:   func() uint64 { return l.NextSeq() - 1 },
-		Audit:  audit,
+		Logs:   []*wal.Log{l},
+	}
+	if audited {
+		src.Audits = []*replication.Audit{audit}
 	}
 	src.OnAck = func() {
 		mark := uint64(0)
 		if audited {
 			mark = audit.DurableSeq()
 		}
-		if ack, ok := src.MinAck(); ok && ack < mark {
+		if ack, ok := src.MinAck(0); ok && ack < mark {
 			mark = ack
 		}
 		l.SetPruneWatermark(mark)

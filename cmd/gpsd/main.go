@@ -23,10 +23,11 @@
 // the wal.* points it accepts repl.ship, repl.ack.lost, and
 // repl.promote on a follower.
 //
-// A WAL-backed primary also maintains the Merkle audit trail
-// (audit.log in the WAL directory) and serves the replication
-// endpoints GET /v1/repl/status, GET /v1/repl/fetch, and
-// POST /v1/repl/ack, so a warm standby can mirror it:
+// -shards sets the writer count (1 is one shard at the full link
+// rate); each writer owns one stripe of the WAL. A WAL-backed primary
+// also maintains a Merkle audit trail per stripe (audit.log) and serves
+// the replication endpoints GET /v1/repl/status, GET /v1/repl/fetch,
+// and POST /v1/repl/ack, so a warm standby can mirror it:
 //
 //	gpsd -follow http://primary:7070 -wal-dir /var/lib/gpsd-standby/wal
 //
@@ -63,7 +64,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -95,11 +95,7 @@ func main() {
 	pullInterval := flag.Duration("pull-interval", 250*time.Millisecond, "follower: delay between successful replication pulls")
 	auditBatch := flag.Int("audit-batch", 0, "Merkle audit batch size in decision frames (0 = default 1024)")
 	ackTTL := flag.Duration("repl-ack-ttl", replication.DefaultAckTTL, "expire a silent follower's ack after this inactivity so it stops holding WAL segments (0 = never expire)")
-	noDelta := flag.Bool("no-delta", false, "disable incremental epoch rebuilds (every publish is a full analysis)")
-	deltaMaxOps := flag.Int("delta-max-ops", 0, "largest batch the delta path rebuilds incrementally before falling back to a full build (0 = server default 256)")
-	selfCheckEvery := flag.Int("selfcheck-every", 0, "verify every Nth delta epoch against a from-scratch analysis (0 = server default 128, negative disables)")
-	shards := flag.Int("shards", 0, "shard writer count: 0 auto-detects (existing WAL layout, else min(GOMAXPROCS,8)), 1 forces the single-writer daemon")
-	ledgerQuantum := flag.Float64("ledger-quantum", 0, "capacity the cross-shard ledger hands a shard per refill (0 = rate/(shards*16))")
+	shards := flag.Int("shards", 0, "shard writer count: 0 auto-detects (existing WAL layout, else min(GOMAXPROCS,8)); 1 runs one shard at the full rate")
 	topology := flag.String("topology", "", "run as a cluster coordinator over this topology JSON instead of a hop daemon")
 	prepareTTL := flag.Duration("prepare-ttl", 10*time.Second, "coordinator: TTL each hop journals with a prepare")
 	hopTimeout := flag.Duration("hop-timeout", 2*time.Second, "coordinator: per-hop RPC timeout; a slower hop counts as partitioned")
@@ -114,8 +110,7 @@ func main() {
 		crashpoint: *crashpoint,
 		follow:     *follow, followerID: *followerID, pullInterval: *pullInterval,
 		auditBatch: *auditBatch, ackTTL: *ackTTL,
-		noDelta: *noDelta, deltaMaxOps: *deltaMaxOps, selfCheckEvery: *selfCheckEvery,
-		shards: *shards, ledgerQuantum: *ledgerQuantum,
+		shards:   *shards,
 		topology: *topology, prepareTTL: *prepareTTL, hopTimeout: *hopTimeout,
 		coordWALDir: *coordWALDir,
 	}); err != nil {
@@ -138,70 +133,30 @@ type config struct {
 	auditBatch         int
 	ackTTL             time.Duration
 
-	noDelta                     bool
-	deltaMaxOps, selfCheckEvery int
-
-	shards        int
-	ledgerQuantum float64
+	shards int
 
 	topology               string
 	prepareTTL, hopTimeout time.Duration
 	coordWALDir            string
 }
 
-// resolveShards decides the shard count. An existing WAL layout always
-// wins — a striped directory boots with its recorded stripe count, a
-// flat one boots single-writer — so restart-after-crash never needs
-// the original flags. Otherwise the flag decides, with 0 meaning
-// min(GOMAXPROCS, 8).
-func resolveShards(cfg config) (int, error) {
+// shardCount decides the shard count for a hop's WAL: an existing log
+// keeps its recorded layout, so restart-after-crash never needs the
+// original flags (wal.OpenStriped refuses a -shards that contradicts
+// it). Otherwise the flag decides, with 0 meaning min(GOMAXPROCS, 8).
+func shardCount(cfg config) (int, error) {
 	if cfg.shards < 0 {
 		return 0, fmt.Errorf("-shards %d, want >= 0", cfg.shards)
 	}
+	if cfg.shards > 0 {
+		return cfg.shards, nil
+	}
 	if cfg.walDir != "" {
-		// A coordinator journal holds route records no hop daemon can
-		// replay; refuse it with a pointer at the right invocation
-		// (promoting a coordinator standby's mirror lands here too).
-		if isCoord, err := wal.IsCoordDir(cfg.walDir); err != nil {
-			return 0, err
-		} else if isCoord {
-			return 0, fmt.Errorf("%s holds a coordinator journal; boot it with -topology ... -coord-wal-dir %s", cfg.walDir, cfg.walDir)
-		}
-		n, err := wal.ReadStripes(cfg.walDir)
-		if err != nil {
-			return 0, err
-		}
-		if n > 0 {
-			if cfg.shards > 1 && cfg.shards != n {
-				return 0, fmt.Errorf("-shards %d but %s has %d stripes", cfg.shards, cfg.walDir, n)
-			}
-			if cfg.shards == 1 {
-				return 0, fmt.Errorf("-shards 1 but %s is striped into %d", cfg.walDir, n)
-			}
-			return n, nil
-		}
-		flat, err := wal.HasFlatLayout(cfg.walDir)
-		if err != nil {
-			return 0, err
-		}
-		if flat {
-			if cfg.shards > 1 {
-				return 0, fmt.Errorf("-shards %d but %s holds a flat single-writer log", cfg.shards, cfg.walDir)
-			}
-			return 1, nil
+		if n, err := wal.StripeCount(cfg.walDir); err != nil || n > 0 {
+			return n, err
 		}
 	}
-	if cfg.shards == 0 {
-		n := runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-		if n < 1 {
-			n = 1
-		}
-		return n, nil
-	}
-	return cfg.shards, nil
+	return max(min(runtime.GOMAXPROCS(0), 8), 1), nil
 }
 
 func (cfg *config) crashPlan() (*faults.CrashPlan, error) {
@@ -230,44 +185,141 @@ func walOptions(cfg config, plan *faults.CrashPlan) (wal.Options, error) {
 	return opts, nil
 }
 
-// primaryNode is one booted serving node: the admission service (a
-// single-writer daemon or the sharded facade) plus its durability and
-// replication companions. logs and audits line up one-to-one with the
-// shard writers (length 1 for the flat layout); both are nil when the
-// node runs without a WAL.
+// primaryNode is one booted serving node: the sharded admission
+// service plus, when it runs on a WAL, its shipping companion.
 type primaryNode struct {
-	svc    server.Service
-	logs   []*wal.Log
-	audits []*replication.Audit
-	src    *replication.Source
-
-	closeSvc func(context.Context) error
-
-	stopWM chan struct{}
-	wmDone chan struct{}
+	svc *server.Sharded
+	log *journal
 }
 
-// bootPrimary opens the WAL (flat or striped, with per-stripe audit
-// trails), starts the admission service, and wires the replication
-// source and prune watermarks. The same path serves first boot,
-// restart-after-crash, and promote-from-standby — which is what makes
-// a promoted epoch bit-identical to a recovered one.
+// journal is a primary's open WAL — one stripe per writer, each with
+// its Merkle audit trail — and the replication source shipping it
+// while holding every stripe's prune watermark. A hop and the
+// -topology coordinator's route journal open and ship it the same way.
+type journal struct {
+	logs     []*wal.Log
+	recs     []*wal.Recovered
+	audits   []*replication.Audit
+	src      *replication.Source
+	stopHold func()
+}
+
+// openJournal opens (or creates with n stripes) the WAL under dir and
+// one audit trail per stripe, and starts holding prune watermarks:
+// nothing is pruned until a stripe's audit trail confirms durability,
+// and any follower that has acked keeps its stripes covered until it
+// expires. Each trail opens after recovery, backfills any leaves the
+// last run never flushed, and — given the recovered head — cuts back a
+// trail that ran ahead of a truncated log, so every chain covers
+// exactly the durable history its writer is about to extend.
+func openJournal(cfg config, dir string, n int, plan *faults.CrashPlan) (*journal, error) {
+	opts, err := walOptions(cfg, plan)
+	if err != nil {
+		return nil, err
+	}
+	logs, recs, err := wal.OpenStriped(dir, n, opts)
+	if err != nil {
+		if errors.Is(err, wal.ErrCorrupt) {
+			return nil, fmt.Errorf("refusing to start on interior log corruption: %w", err)
+		}
+		return nil, fmt.Errorf("opening WAL: %w", err)
+	}
+	j := &journal{logs: logs, recs: recs, audits: make([]*replication.Audit, len(logs))}
+	for i, l := range logs {
+		walHead := l.NextSeq() - 1
+		j.audits[i], err = replication.OpenAudit(wal.StripeDir(dir, len(logs), i), replication.AuditOptions{BatchN: cfg.auditBatch, WALHead: &walHead})
+		if err != nil {
+			j.discard()
+			return nil, fmt.Errorf("opening audit trail (stripe %d): %w", i, err)
+		}
+	}
+	replayed, torn := 0, int64(0)
+	for _, rec := range recs {
+		replayed += len(rec.Ops)
+		torn += rec.TornBytes
+	}
+	log.Printf("gpsd: WAL %s recovered (%d stripe(s)): %d replayed ops, %d torn bytes truncated",
+		dir, len(logs), replayed, torn)
+
+	host, _ := os.Hostname()
+	ttl := cfg.ackTTL
+	if ttl <= 0 {
+		ttl = -1 // flag 0 = never expire (Source 0 means its default)
+	}
+	j.src = &replication.Source{
+		Dir:    dir,
+		NodeID: fmt.Sprintf("%s:%d", host, os.Getpid()),
+		Logs:   logs,
+		Audits: j.audits,
+		AckTTL: ttl,
+	}
+	j.stopHold = j.src.HoldPrunes(500 * time.Millisecond)
+	return j, nil
+}
+
+// mount serves the replication endpoints next to h.
+func (j *journal) mount(h http.Handler) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	j.src.Mount(mux)
+	return mux
+}
+
+// close stops the watermark hold and closes the audit trails; the logs
+// themselves belong to their writers, which snapshot and close them on
+// drain.
+func (j *journal) close() error {
+	if j.stopHold != nil {
+		j.stopHold()
+	}
+	var err error
+	for _, a := range j.audits {
+		if a == nil {
+			continue
+		}
+		if aerr := a.Close(); err == nil {
+			err = aerr
+		}
+	}
+	return err
+}
+
+// discard closes everything a failed boot opened, logs included: no
+// writer took ownership of them.
+func (j *journal) discard() {
+	j.close()
+	for _, l := range j.logs {
+		l.Close()
+	}
+}
+
+// bootPrimary opens the hop's WAL stripes, audit trails and shipping,
+// and starts the sharded admission service over them. The same
+// path serves every shard count, first boot, restart-after-crash, and
+// promote-from-standby — which is what makes a promoted epoch
+// bit-identical to a recovered one.
 func bootPrimary(cfg config, plan *faults.CrashPlan) (*primaryNode, error) {
-	shards, err := resolveShards(cfg)
+	if cfg.walDir != "" {
+		// A coordinator journal holds route records no hop daemon can
+		// replay; refuse it with a pointer at the right invocation
+		// (promoting a coordinator standby's mirror lands here too).
+		if isCoord, err := wal.IsCoordDir(cfg.walDir); err != nil {
+			return nil, err
+		} else if isCoord {
+			return nil, fmt.Errorf("%s holds a coordinator journal; boot it with -topology ... -coord-wal-dir %s", cfg.walDir, cfg.walDir)
+		}
+	}
+	shards, err := shardCount(cfg)
 	if err != nil {
 		return nil, err
 	}
 	scfg := server.Config{
-		Rate:           cfg.rate,
-		QueueDepth:     cfg.queue,
-		MaxBatch:       cfg.maxBatch,
-		MaxEpochAge:    cfg.epochAge,
-		RetryAfter:     cfg.retryAfter,
-		NoDelta:        cfg.noDelta,
-		DeltaMaxOps:    cfg.deltaMaxOps,
-		SelfCheckEvery: cfg.selfCheckEvery,
-		SnapshotEvery:  cfg.snapshotEvery,
-		LedgerQuantum:  cfg.ledgerQuantum,
+		Rate:          cfg.rate,
+		QueueDepth:    cfg.queue,
+		MaxBatch:      cfg.maxBatch,
+		MaxEpochAge:   cfg.epochAge,
+		RetryAfter:    cfg.retryAfter,
+		SnapshotEvery: cfg.snapshotEvery,
 	}
 	if plan != nil {
 		// The server consults its own crashpoints (cluster.prepare) in
@@ -275,181 +327,28 @@ func bootPrimary(cfg config, plan *faults.CrashPlan) (*primaryNode, error) {
 		scfg.Crash = plan
 	}
 	n := &primaryNode{}
-	fail := func(err error) (*primaryNode, error) {
-		for _, a := range n.audits {
-			if a != nil {
-				a.Close()
-			}
+	var (
+		alogs  []server.AdmissionLog
+		recs   []*wal.Recovered
+		asinks []server.AuditSink
+	)
+	if cfg.walDir != "" {
+		if n.log, err = openJournal(cfg, cfg.walDir, shards, plan); err != nil {
+			return nil, err
 		}
-		for _, l := range n.logs {
-			if l != nil {
-				l.Close()
-			}
+		recs = n.log.recs
+		for i := range n.log.logs {
+			alogs = append(alogs, n.log.logs[i])
+			asinks = append(asinks, n.log.audits[i])
+		}
+	}
+	if n.svc, err = server.NewSharded(scfg, shards, alogs, recs, asinks); err != nil {
+		if n.log != nil {
+			n.log.discard()
 		}
 		return nil, err
 	}
-
-	var recs []*wal.Recovered
-	if cfg.walDir != "" {
-		opts, err := walOptions(cfg, plan)
-		if err != nil {
-			return nil, err
-		}
-		if shards > 1 {
-			n.logs, recs, err = wal.OpenStriped(cfg.walDir, shards, opts)
-		} else {
-			var l *wal.Log
-			var rec *wal.Recovered
-			l, rec, err = wal.Open(cfg.walDir, opts)
-			if l != nil {
-				n.logs, recs = []*wal.Log{l}, []*wal.Recovered{rec}
-			}
-		}
-		if err != nil {
-			if errors.Is(err, wal.ErrCorrupt) {
-				return nil, fmt.Errorf("refusing to start on interior log corruption: %w", err)
-			}
-			return nil, fmt.Errorf("opening WAL: %w", err)
-		}
-		replayed, torn := 0, int64(0)
-		for _, rec := range recs {
-			replayed += len(rec.Ops)
-			torn += rec.TornBytes
-		}
-		log.Printf("gpsd: WAL %s recovered (%d stripe(s)): %d replayed ops, %d torn bytes truncated",
-			cfg.walDir, len(n.logs), replayed, torn)
-
-		// Each stripe gets its own audit trail: it opens after recovery,
-		// backfills any leaves the last run never flushed, and — given
-		// the recovered head — cuts back a trail that ran ahead of a
-		// truncated log, so every chain covers exactly the durable
-		// history its shard writer is about to extend.
-		n.audits = make([]*replication.Audit, len(n.logs))
-		for i, l := range n.logs {
-			dir := cfg.walDir
-			if shards > 1 {
-				dir = filepath.Join(cfg.walDir, wal.StripeDirName(i))
-			}
-			walHead := l.NextSeq() - 1
-			n.audits[i], err = replication.OpenAudit(dir, replication.AuditOptions{BatchN: cfg.auditBatch, WALHead: &walHead})
-			if err != nil {
-				return fail(fmt.Errorf("opening audit trail (stripe %d): %w", i, err))
-			}
-		}
-	}
-
-	if shards > 1 {
-		var alogs []server.AdmissionLog
-		var asinks []server.AuditSink
-		if n.logs != nil {
-			alogs = make([]server.AdmissionLog, len(n.logs))
-			asinks = make([]server.AuditSink, len(n.audits))
-			for i := range n.logs {
-				alogs[i] = n.logs[i]
-				asinks[i] = n.audits[i]
-			}
-		}
-		sh, err := server.NewSharded(scfg, shards, alogs, recs, asinks)
-		if err != nil {
-			return fail(err)
-		}
-		n.svc = sh
-		n.closeSvc = sh.Close
-	} else {
-		if n.logs != nil {
-			scfg.Log = n.logs[0]
-			scfg.Recovered = recs[0]
-			scfg.Audit = n.audits[0]
-		}
-		d, err := server.New(scfg)
-		if err != nil {
-			return fail(err)
-		}
-		n.svc = d
-		n.closeSvc = d.Close
-	}
-
-	if n.logs != nil {
-		host, _ := os.Hostname()
-		ttl := cfg.ackTTL
-		if ttl <= 0 {
-			ttl = -1 // flag 0 = never expire (Source 0 means its default)
-		}
-		logs := n.logs
-		head := func() uint64 {
-			var sum uint64
-			for _, l := range logs {
-				sum += l.NextSeq() - 1
-			}
-			return sum
-		}
-		n.src = &replication.Source{
-			Dir:    cfg.walDir,
-			NodeID: fmt.Sprintf("%s:%d", host, os.Getpid()),
-			Head:   head,
-			AckTTL: ttl,
-		}
-		if shards > 1 {
-			n.src.Stripes = len(logs)
-			n.src.StripeHead = func(i int) uint64 { return logs[i].NextSeq() - 1 }
-		} else {
-			n.src.Audit = n.audits[0]
-		}
-		n.src.OnAck = func() { n.updateWatermark() }
-		// The watermark starts fully held: nothing is pruned until the
-		// audit trail confirms durability (and any follower that has
-		// ever acked stays covered forever after).
-		for _, l := range n.logs {
-			l.SetPruneWatermark(0)
-		}
-		n.updateWatermark()
-		n.stopWM = make(chan struct{})
-		n.wmDone = make(chan struct{})
-		go n.watermarkLoop()
-	}
 	return n, nil
-}
-
-// updateWatermark recomputes each stripe's prune watermark: a segment
-// may only be pruned when both that stripe's audit trail has fsynced
-// its leaves and every known follower has acked it.
-func (n *primaryNode) updateWatermark() {
-	striped := len(n.logs) > 1
-	for i, l := range n.logs {
-		mark := n.audits[i].DurableSeq()
-		if striped {
-			if min, ok := n.src.MinAckStripe(i); ok && min < mark {
-				mark = min
-			}
-		} else if min, ok := n.src.MinAck(); ok && min < mark {
-			mark = min
-		}
-		l.SetPruneWatermark(mark)
-	}
-}
-
-func (n *primaryNode) watermarkLoop() {
-	defer close(n.wmDone)
-	t := time.NewTicker(500 * time.Millisecond)
-	defer t.Stop()
-	auditErrLogged := false
-	for {
-		select {
-		case <-t.C:
-			n.updateWatermark()
-			if !auditErrLogged {
-				for i, a := range n.audits {
-					if err := a.Err(); err != nil {
-						auditErrLogged = true
-						log.Printf("gpsd: audit trail %d frozen, prune watermark held at %d: %v", i, a.DurableSeq(), err)
-						break
-					}
-				}
-			}
-		case <-n.stopWM:
-			return
-		}
-	}
 }
 
 // handler composes the serving surface: admission endpoints,
@@ -457,16 +356,14 @@ func (n *primaryNode) watermarkLoop() {
 // sets.
 func (n *primaryNode) handler() http.Handler {
 	base := server.NewHandler(n.svc)
-	if n.src == nil {
+	if n.log == nil {
 		return base
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/", base)
-	n.src.Mount(mux)
+	mux := n.log.mount(base)
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		n.svc.WriteMetrics(w)
-		n.src.WriteMetrics(w)
+		n.log.src.WriteMetrics(w)
 	})
 	return mux
 }
@@ -474,14 +371,10 @@ func (n *primaryNode) handler() http.Handler {
 // close drains the service (each writer snapshots and closes the WAL
 // stripe it owns) and stops the companions.
 func (n *primaryNode) close(ctx context.Context) error {
-	if n.stopWM != nil {
-		close(n.stopWM)
-		<-n.wmDone
-	}
-	err := n.closeSvc(ctx)
-	for _, a := range n.audits {
-		if aerr := a.Close(); err == nil {
-			err = aerr
+	err := n.svc.Close(ctx)
+	if n.log != nil {
+		if jerr := n.log.close(); err == nil {
+			err = jerr
 		}
 	}
 	return err
@@ -496,53 +389,28 @@ func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	(*s.h.Load()).ServeHTTP(w, r)
 }
 
-// openCoordJournal adopts (or creates) the coordinator WAL directory:
-// the layout marker is written durably before the first segment, hop
-// layouts are refused, and the previous life's route records come back
-// as cfg.Recovered. The audit trail and replication source ride on the
-// same directory, so the PR 6 shipping machinery (warm standby,
-// Merkle audit) works on the coordinator journal unchanged.
-func openCoordJournal(cfg config, plan *faults.CrashPlan) (*wal.Log, *wal.Recovered, *replication.Audit, error) {
-	isCoord, err := wal.IsCoordDir(cfg.coordWALDir)
+// openCoordJournal adopts (or creates) the coordinator's route
+// journal: a one-stripe WAL whose layout marker is written durably
+// before the first segment. A directory already holding a hop WAL is
+// refused, and the previous life's route records come back as its one
+// recovered stripe. The journal ships and audits exactly like a hop's.
+func openCoordJournal(cfg config, plan *faults.CrashPlan) (*journal, error) {
+	dir := cfg.coordWALDir
+	isCoord, err := wal.IsCoordDir(dir)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	if !isCoord {
-		flat, err := wal.HasFlatLayout(cfg.coordWALDir)
-		if err != nil {
-			return nil, nil, nil, err
+		if n, err := wal.StripeCount(dir); err != nil {
+			return nil, err
+		} else if n > 0 {
+			return nil, fmt.Errorf("%s holds a hop WAL; refusing to journal coordinator route records into it", dir)
 		}
-		stripes, err := wal.ReadStripes(cfg.coordWALDir)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if flat || stripes > 0 {
-			return nil, nil, nil, fmt.Errorf("%s holds a hop WAL; refusing to journal coordinator route records into it", cfg.coordWALDir)
-		}
-		if err := wal.WriteCoordMarker(cfg.coordWALDir); err != nil {
-			return nil, nil, nil, fmt.Errorf("marking coordinator WAL: %w", err)
+		if err := wal.WriteCoordMarker(dir); err != nil {
+			return nil, fmt.Errorf("marking coordinator WAL: %w", err)
 		}
 	}
-	opts, err := walOptions(cfg, plan)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	clog, rec, err := wal.Open(cfg.coordWALDir, opts)
-	if err != nil {
-		if errors.Is(err, wal.ErrCorrupt) {
-			return nil, nil, nil, fmt.Errorf("refusing to start on journal corruption: %w", err)
-		}
-		return nil, nil, nil, fmt.Errorf("opening coordinator journal: %w", err)
-	}
-	walHead := clog.NextSeq() - 1
-	audit, err := replication.OpenAudit(cfg.coordWALDir, replication.AuditOptions{BatchN: cfg.auditBatch, WALHead: &walHead})
-	if err != nil {
-		clog.Close()
-		return nil, nil, nil, fmt.Errorf("opening coordinator audit trail: %w", err)
-	}
-	log.Printf("gpsd: coordinator journal %s recovered: %d route ops, %d torn bytes truncated",
-		cfg.coordWALDir, len(rec.Ops), rec.TornBytes)
-	return clog, rec, audit, nil
+	return openJournal(cfg, dir, 1, plan)
 }
 
 // runCoordinator is the -topology mode: the control plane that admits
@@ -573,82 +441,28 @@ func runCoordinator(cfg config) error {
 	if plan != nil {
 		ccfg.Crash = plan
 	}
-	var (
-		clog  *wal.Log
-		audit *replication.Audit
-		src   *replication.Source
-	)
+	var jl *journal
 	if cfg.coordWALDir != "" {
-		var rec *wal.Recovered
-		clog, rec, audit, err = openCoordJournal(cfg, plan)
-		if err != nil {
+		if jl, err = openCoordJournal(cfg, plan); err != nil {
 			return err
 		}
-		ccfg.Log = clog
-		ccfg.Recovered = rec
-		ccfg.Audit = audit
+		ccfg.Log = jl.logs[0]
+		ccfg.Recovered = jl.recs[0]
+		ccfg.Audit = jl.audits[0]
 	}
 	coord, err := cluster.New(ccfg)
 	if err != nil {
-		if audit != nil {
-			audit.Close()
-		}
-		if clog != nil {
-			clog.Close()
+		if jl != nil {
+			jl.discard()
 		}
 		return err
 	}
-	if clog != nil {
+	var handler http.Handler = cluster.NewHandler(coord)
+	if jl != nil {
 		m := coord.Metrics()
 		log.Printf("gpsd: coordinator recovered %d session(s) (%d dropped by reconcile, %d orphaned hop sessions released)",
 			coord.Sessions(), m.ReconcileDrops.Load(), m.OrphanReleases.Load())
-	}
-
-	var handler http.Handler = cluster.NewHandler(coord)
-	stopWM := make(chan struct{})
-	wmDone := make(chan struct{})
-	if clog != nil {
-		host, _ := os.Hostname()
-		ttl := cfg.ackTTL
-		if ttl <= 0 {
-			ttl = -1 // flag 0 = never expire (Source 0 means its default)
-		}
-		src = &replication.Source{
-			Dir:    cfg.coordWALDir,
-			NodeID: fmt.Sprintf("%s:%d", host, os.Getpid()),
-			Head:   func() uint64 { return clog.NextSeq() - 1 },
-			AckTTL: ttl,
-			Audit:  audit,
-		}
-		updateMark := func() {
-			mark := audit.DurableSeq()
-			if min, ok := src.MinAck(); ok && min < mark {
-				mark = min
-			}
-			clog.SetPruneWatermark(mark)
-		}
-		src.OnAck = updateMark
-		clog.SetPruneWatermark(0)
-		updateMark()
-		go func() {
-			defer close(wmDone)
-			t := time.NewTicker(500 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					updateMark()
-				case <-stopWM:
-					return
-				}
-			}
-		}()
-		mux := http.NewServeMux()
-		mux.Handle("/", handler)
-		src.Mount(mux)
-		handler = mux
-	} else {
-		close(wmDone)
+		handler = jl.mount(handler)
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)
@@ -684,15 +498,11 @@ func runCoordinator(cfg config) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if clog != nil {
-		close(stopWM)
-		<-wmDone
-	}
 	if err := coord.Close(); err != nil {
 		return fmt.Errorf("closing journal: %w", err)
 	}
-	if audit != nil {
-		if err := audit.Close(); err != nil {
+	if jl != nil {
+		if err := jl.close(); err != nil {
 			return fmt.Errorf("closing audit trail: %w", err)
 		}
 	}
@@ -817,7 +627,7 @@ func run(cfg config) error {
 	if node != nil {
 		hv := node.svc.Health()
 		log.Printf("gpsd: listening on %s (rate %g, %d shard(s), queue %d, epoch age %v, %d recovered sessions)",
-			bound, cfg.rate, max(hv.Shards, 1), cfg.queue, cfg.epochAge, hv.Sessions)
+			bound, cfg.rate, hv.Shards, cfg.queue, cfg.epochAge, hv.Sessions)
 	} else {
 		log.Printf("gpsd: standby listening on %s", bound)
 	}
@@ -862,7 +672,7 @@ func run(cfg config) error {
 	}
 	hv := n.svc.Health()
 	log.Printf("gpsd: drained at epoch %d with %d sessions across %d shard(s)",
-		hv.EpochSeq, hv.Sessions, max(hv.Shards, 1))
+		hv.EpochSeq, hv.Sessions, hv.Shards)
 	return nil
 }
 

@@ -20,7 +20,7 @@
 // δ_i(t) upper-bound combinations of the real backlogs (Lemmas 1 and 3).
 // The test suite uses this to machine-check the paper's sample-path
 // relations on simulated traffic. A brute-force water-filling engine is
-// retained as Reference (reference.go) and differentially tested against
+// retained as Reference (reference_test.go) and differentially tested against
 // this one.
 package fluid
 

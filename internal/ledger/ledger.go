@@ -166,11 +166,13 @@ func DefaultQuantum(budget float64, shards int) float64 {
 // the same function over the same recovered sums and lands on the same
 // capacities bit for bit.
 //
-// Two passes: every shard is first granted exactly what its recovered
-// sessions use (never strand an admitted session), then the remaining
-// slack tops each shard up by at most one quantum of headroom, in
-// shard index order, so fresh boots start with working capacity and
-// the grants can never sum past the budget.
+// A lone shard is granted the whole budget: it is the paper's single
+// GPS server at the link rate, with no other shard to leave slack for.
+// Otherwise two passes: every shard is first granted exactly what its
+// recovered sessions use (never strand an admitted session), then the
+// remaining slack tops each shard up by at most one quantum of
+// headroom, in shard index order, so fresh boots start with working
+// capacity and the grants can never sum past the budget.
 func BootCapacities(used []float64, budget, quantum float64) ([]float64, error) {
 	if !(budget > 0) || math.IsInf(budget, 1) || math.IsNaN(budget) {
 		return nil, fmt.Errorf("ledger: budget = %v, want positive finite", budget)
@@ -186,6 +188,10 @@ func BootCapacities(used []float64, budget, quantum float64) ([]float64, error) 
 	}
 	if sum > budget {
 		return nil, fmt.Errorf("ledger: recovered load %v exceeds budget %v", sum, budget)
+	}
+	if len(caps) == 1 {
+		caps[0] = budget
+		return caps, nil
 	}
 	slack := budget - sum
 	for i := range caps {

@@ -187,6 +187,14 @@ func TestBootCapacitiesDeterministic(t *testing.T) {
 			t.Errorf("shard %d default-quantum capacity %v vs load %v", i, c, used[i])
 		}
 	}
+
+	// A lone shard is the whole link, whatever load it recovered.
+	for _, u := range []float64{0, 42.625, budget} {
+		one, err := BootCapacities([]float64{u}, budget, quantum)
+		if err != nil || len(one) != 1 || math.Float64bits(one[0]) != math.Float64bits(budget) {
+			t.Errorf("one shard with load %v: caps %v, %v, want [%v]", u, one, err, budget)
+		}
+	}
 }
 
 // TestBootCapacitiesTightBudget drives the split into the regime where

@@ -34,7 +34,7 @@ func newPrimary(t *testing.T, opts wal.Options) *primaryFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { l.Close() })
-	src := &Source{Dir: dir, NodeID: "primary-test", Head: func() uint64 { return l.NextSeq() - 1 }}
+	src := &Source{Dir: dir, NodeID: "primary-test", Logs: []*wal.Log{l}}
 	mux := http.NewServeMux()
 	src.Mount(mux)
 	ts := httptest.NewServer(mux)
@@ -139,7 +139,7 @@ func TestFollowerMirrorsAndAcks(t *testing.T) {
 func TestFollowerAckDrivesPruneWatermark(t *testing.T) {
 	p := newPrimary(t, wal.Options{SegmentBytes: 256, Sync: wal.SyncAlways})
 	p.src.OnAck = func() {
-		if min, ok := p.src.MinAck(); ok {
+		if min, ok := p.src.MinAck(0); ok {
 			p.log.SetPruneWatermark(min)
 		}
 	}
@@ -410,7 +410,7 @@ func TestFollowerGoneMidPassFailsPass(t *testing.T) {
 	if err := l.Append(auditTestOps(40)); err != nil {
 		t.Fatal(err)
 	}
-	src := &Source{Dir: dir, NodeID: "p", Head: func() uint64 { return l.NextSeq() - 1 }}
+	src := &Source{Dir: dir, NodeID: "p", Logs: []*wal.Log{l}}
 	mux := http.NewServeMux()
 	src.Mount(mux)
 	entries, err := os.ReadDir(dir)
@@ -485,7 +485,7 @@ func TestFollowerFreshMirrorAnchor(t *testing.T) {
 	if err := l.Snapshot(st.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	src := &Source{Dir: dir, NodeID: "p", Head: func() uint64 { return l.NextSeq() - 1 }}
+	src := &Source{Dir: dir, NodeID: "p", Logs: []*wal.Log{l}}
 	mux := http.NewServeMux()
 	src.Mount(mux)
 	var hideSnaps atomic.Bool

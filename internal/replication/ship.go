@@ -45,9 +45,9 @@ type Manifest struct {
 	HeadSeq  uint64 `json:"head_seq"` // highest durable op sequence (sum over stripes)
 	UnixNano int64  `json:"unix_nano"`
 
-	// Stripes and StripeHeads describe a striped primary: the stripe
-	// count and each stripe's own durable head. 0/absent means the flat
-	// single-writer layout.
+	// Stripes and StripeHeads describe a multi-stripe primary: the
+	// stripe count and each stripe's own durable head. 0/absent means
+	// one stripe, shipped as the plain directory.
 	Stripes     int      `json:"stripes,omitempty"`
 	StripeHeads []uint64 `json:"stripe_heads,omitempty"`
 
@@ -71,7 +71,8 @@ type Ack struct {
 	FollowerID string `json:"follower_id"`
 	AckSeq     uint64 `json:"ack_seq"`
 	// StripeSeqs carries the per-stripe verified heads when the primary
-	// is striped (AckSeq is then their sum); absent for a flat mirror.
+	// has several stripes (AckSeq is then their sum); absent for a
+	// one-stripe mirror, whose AckSeq is its stripe's head.
 	StripeSeqs []uint64 `json:"stripe_seqs,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -18,29 +19,29 @@ import (
 )
 
 // Source is the primary side of replication: three read-mostly HTTP
-// handlers over the WAL directory. It never mutates the log — shipping
-// is pull-based, so a slow or absent follower costs the primary nothing
-// but retained segments (and the prune watermark guarantees exactly
-// that retention).
+// handlers over the WAL directory, plus the prune-watermark hold that
+// keeps every stripe's history on disk until its consumers have it.
+// It never appends to the log — shipping is pull-based, so a slow or
+// absent follower costs the primary nothing but retained segments (and
+// the prune watermark guarantees exactly that retention). Every gpsd
+// primary wires one the same way: a hop over its shard stripes, a
+// coordinator over its one-stripe route journal.
 type Source struct {
 	// Dir is the WAL directory to ship.
 	Dir string
 	// NodeID names this primary in manifests.
 	NodeID string
-	// Head returns the highest durable op sequence (wal.Log.NextSeq-1).
-	// For a striped primary it is the sum over stripes, so followers and
-	// smoke checks see one monotone head either way.
-	Head func() uint64
-	// Stripes is the stripe count of a striped WAL directory; 0 ships
-	// the flat single-writer layout.
-	Stripes int
-	// StripeHead returns stripe i's highest durable op sequence
-	// (required when Stripes > 0).
-	StripeHead func(i int) uint64
-	// Audit supplies chain-head fields for the manifest; nil omits them.
-	Audit *Audit
-	// OnAck, when set, runs after every recorded ack — the wiring layer
-	// recomputes the prune watermark there.
+	// Logs are the WAL stripes under Dir in stripe order, as
+	// wal.OpenStriped returned them. One log is Dir itself and ships as
+	// a single directory; two or more ship the stripes marker and every
+	// stripe-NN/ directory.
+	Logs []*wal.Log
+	// Audits, when set, line up with Logs: stripe i's Merkle audit
+	// trail. Each trail's durable tail caps its stripe's prune
+	// watermark, any frozen trail raises gpsd_audit_fatal, and a
+	// one-stripe manifest carries the chain head.
+	Audits []*Audit
+	// OnAck, when set, runs after every recorded ack.
 	OnAck func()
 	// AckTTL expires a follower's ack entry after this much ack
 	// inactivity, so a permanently dead follower (or a one-shot client
@@ -54,8 +55,9 @@ type Source struct {
 	// Now stubs time for tests; nil means time.Now.
 	Now func() time.Time
 
-	mu   sync.Mutex
-	acks map[string]ackEntry
+	mu      sync.Mutex
+	acks    map[string]ackEntry
+	holding atomic.Bool // HoldPrunes owns the logs' prune watermarks
 
 	fetches      atomic.Int64
 	bytesShipped atomic.Int64
@@ -66,9 +68,9 @@ type Source struct {
 // segments before it expires (Source.AckTTL overrides).
 const DefaultAckTTL = 5 * time.Minute
 
-// ackEntry is one follower's progress plus its liveness stamp. For a
-// striped primary, stripeSeqs holds the per-stripe verified heads the
-// follower reported alongside its aggregate.
+// ackEntry is one follower's progress plus its liveness stamp. A
+// follower of a multi-stripe primary also reports stripeSeqs, its
+// per-stripe verified heads; a one-stripe follower's seq is its head.
 type ackEntry struct {
 	seq        uint64
 	stripeSeqs []uint64
@@ -108,44 +110,88 @@ func (s *Source) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/repl/ack", s.handleAck)
 }
 
-// MinAck returns the lowest acked sequence over every live follower
-// (acked within AckTTL), and whether any exists. A primary with no
-// live followers holds nothing back on their behalf.
-func (s *Source) MinAck() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked()
-	if len(s.acks) == 0 {
-		return 0, false
-	}
-	min, first := uint64(0), true
-	for _, e := range s.acks {
-		if first || e.seq < min {
-			min, first = e.seq, false
-		}
-	}
-	return min, true
-}
-
-// MinAckStripe returns the lowest acked sequence for stripe i over
-// every live follower that has reported per-stripe progress, and
-// whether any has. The per-stripe prune watermark folds it in exactly
-// as MinAck feeds the flat one.
-func (s *Source) MinAckStripe(i int) (uint64, bool) {
+// MinAck returns the lowest sequence of stripe i acked by every live
+// follower (acked within AckTTL), and whether any exists. A primary
+// with no live followers holds nothing back on their behalf. On a
+// multi-stripe primary, a follower that never reported stripe i pins
+// it whole.
+func (s *Source) MinAck(i int) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.expireLocked()
 	min, any := uint64(0), false
 	for _, e := range s.acks {
-		if i >= len(e.stripeSeqs) {
-			// A follower that never reported this stripe pins it whole.
-			return 0, true
+		seq := e.seq
+		if len(s.Logs) > 1 {
+			if i >= len(e.stripeSeqs) {
+				return 0, true
+			}
+			seq = e.stripeSeqs[i]
 		}
-		if !any || e.stripeSeqs[i] < min {
-			min, any = e.stripeSeqs[i], true
+		if !any || seq < min {
+			min, any = seq, true
 		}
 	}
 	return min, any
+}
+
+// UpdateWatermarks sets each stripe's prune watermark to the highest
+// sequence that both its audit trail has made durable and every live
+// follower has acked, so pruning never outruns either consumer.
+func (s *Source) UpdateWatermarks() {
+	for i, l := range s.Logs {
+		mark := uint64(math.MaxUint64)
+		if s.Audits != nil {
+			mark = s.Audits[i].DurableSeq()
+		}
+		if min, ok := s.MinAck(i); ok && min < mark {
+			mark = min
+		}
+		l.SetPruneWatermark(mark)
+	}
+}
+
+// HoldPrunes takes over the logs' prune watermarks: they start fully
+// held at 0, so nothing is pruned before the audit trails confirm
+// durability, and are recomputed by UpdateWatermarks after every
+// follower ack and every interval until stop is called.
+func (s *Source) HoldPrunes(interval time.Duration) (stop func()) {
+	for _, l := range s.Logs {
+		l.SetPruneWatermark(0)
+	}
+	s.holding.Store(true)
+	s.UpdateWatermarks()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				s.UpdateWatermarks()
+			case <-quit:
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			close(quit)
+			<-done
+		})
+	}
+}
+
+// head is the summed durable head over every stripe, so followers and
+// smoke checks see one monotone head at any stripe count.
+func (s *Source) head() uint64 {
+	var sum uint64
+	for _, l := range s.Logs {
+		sum += l.NextSeq() - 1
+	}
+	return sum
 }
 
 // Acks returns a copy of the per-follower ack table (live entries
@@ -162,13 +208,13 @@ func (s *Source) Acks() map[string]uint64 {
 }
 
 // manifestFiles lists the shippable files in apply order: segments by
-// sequence, then snapshots, then the audit trail. A striped primary
-// leads with the stripe-count marker and then lists each stripe's
-// files in that per-stripe order under "stripe-NN/" names, so the
-// follower mirrors the exact on-disk layout a promoted daemon boots
-// from.
+// sequence, then snapshots, then the audit trail. A multi-stripe
+// primary leads with the stripe-count marker and then lists each
+// stripe's files in that per-stripe order under "stripe-NN/" names, so
+// the follower mirrors the exact on-disk layout a promoted daemon
+// boots from.
 func (s *Source) manifestFiles() ([]ManifestFile, error) {
-	if s.Stripes <= 0 {
+	if len(s.Logs) <= 1 {
 		return s.dirFiles(s.Dir, "")
 	}
 	info, err := os.Stat(filepath.Join(s.Dir, wal.StripesFileName))
@@ -176,7 +222,7 @@ func (s *Source) manifestFiles() ([]ManifestFile, error) {
 		return nil, err
 	}
 	out := []ManifestFile{{Name: wal.StripesFileName, Size: info.Size()}}
-	for i := 0; i < s.Stripes; i++ {
+	for i := range s.Logs {
 		sub := wal.StripeDirName(i)
 		files, err := s.dirFiles(filepath.Join(s.Dir, sub), sub+"/")
 		if err != nil {
@@ -242,21 +288,22 @@ func (s *Source) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	m := Manifest{
 		NodeID:   s.NodeID,
-		HeadSeq:  s.Head(),
+		HeadSeq:  s.head(),
 		UnixNano: s.now().UnixNano(),
-		Stripes:  s.Stripes,
 		Files:    files,
 	}
-	if s.Stripes > 0 && s.StripeHead != nil {
-		m.StripeHeads = make([]uint64, s.Stripes)
-		for i := range m.StripeHeads {
-			m.StripeHeads[i] = s.StripeHead(i)
+	if n := len(s.Logs); n > 1 {
+		m.Stripes = n
+		m.StripeHeads = make([]uint64, n)
+		for i, l := range s.Logs {
+			m.StripeHeads[i] = l.NextSeq() - 1
 		}
 	}
-	if s.Audit != nil {
-		head, _, _ := s.Audit.Head()
-		m.AuditGenesis = s.Audit.GenesisSeq()
-		m.AuditBatchN = s.Audit.BatchN()
+	if len(s.Audits) == 1 {
+		a := s.Audits[0]
+		head, _, _ := a.Head()
+		m.AuditGenesis = a.GenesisSeq()
+		m.AuditBatchN = a.BatchN()
 		m.AuditHead = hex.EncodeToString(head[:])
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -356,33 +403,38 @@ func (s *Source) handleAck(w http.ResponseWriter, r *http.Request) {
 	s.acks[a.FollowerID] = e
 	s.mu.Unlock()
 	s.acksTotal.Add(1)
+	if s.holding.Load() {
+		s.UpdateWatermarks()
+	}
 	if s.OnAck != nil {
 		s.OnAck()
 	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(AckReply{HeadSeq: s.Head()})
+	_ = json.NewEncoder(w).Encode(AckReply{HeadSeq: s.head()})
 }
 
 // WriteMetrics renders the primary-side replication metrics.
 func (s *Source) WriteMetrics(w io.Writer) {
-	minAck, ok := s.MinAck()
-	nFollowers := 0
-	s.mu.Lock()
-	nFollowers = len(s.acks)
-	s.mu.Unlock()
-	if s.Audit != nil {
+	if s.Audits != nil {
 		fatal := int64(0)
-		if s.Audit.Err() != nil {
-			fatal = 1
+		for _, a := range s.Audits {
+			if a.Err() != nil {
+				fatal = 1
+			}
 		}
-		writeGauge(w, "gpsd_audit_fatal", "1 when the audit sink latched a fatal error and froze the trail (prune watermark held)", fatal)
+		writeGauge(w, "gpsd_audit_fatal", "1 when any stripe's audit sink latched a fatal error and froze its trail (that stripe's prune watermark held)", fatal)
 	}
+	acks := s.Acks()
 	writeCounter(w, "gpsd_repl_fetches_total", "replication fetch requests served", s.fetches.Load())
 	writeCounter(w, "gpsd_repl_shipped_bytes_total", "file bytes shipped to followers", s.bytesShipped.Load())
 	writeCounter(w, "gpsd_repl_acks_total", "follower acks received", s.acksTotal.Load())
-	writeGauge(w, "gpsd_repl_followers", "followers that have acked at least once", int64(nFollowers))
-	if ok {
-		writeGauge(w, "gpsd_repl_min_acked_seq", "lowest follower-acked op sequence", int64(minAck))
+	writeGauge(w, "gpsd_repl_followers", "followers that have acked at least once", int64(len(acks)))
+	if len(acks) > 0 {
+		lowest := uint64(math.MaxUint64)
+		for _, seq := range acks {
+			lowest = min(lowest, seq)
+		}
+		writeGauge(w, "gpsd_repl_min_acked_seq", "lowest follower-acked op sequence", int64(lowest))
 	}
 }
 

@@ -36,15 +36,7 @@ func newStripedPrimary(t *testing.T, n int, opts wal.Options) *stripedFixture {
 	src := &Source{
 		Dir:    dir,
 		NodeID: "striped-primary-test",
-		Head: func() uint64 {
-			var sum uint64
-			for _, l := range logs {
-				sum += l.NextSeq() - 1
-			}
-			return sum
-		},
-		Stripes:    n,
-		StripeHead: func(i int) uint64 { return logs[i].NextSeq() - 1 },
+		Logs:   logs,
 	}
 	mux := http.NewServeMux()
 	src.Mount(mux)
@@ -83,16 +75,16 @@ func TestStripedFollowerMirrorsAndAcks(t *testing.T) {
 		t.Fatalf("ack after first pull = %d, want the summed head 60", got)
 	}
 	for i, want := range counts {
-		min, ok := p.src.MinAckStripe(i)
+		min, ok := p.src.MinAck(i)
 		if !ok || min != uint64(want) {
-			t.Fatalf("MinAckStripe(%d) = %d, %v, want %d", i, min, ok, want)
+			t.Fatalf("MinAck(%d) = %d, %v, want %d", i, min, ok, want)
 		}
 	}
 
 	// The mirror is a striped directory with the same recorded count,
 	// and every stripe's shipped files are byte-identical.
-	if got, err := wal.ReadStripes(f.o.Dir); err != nil || got != n {
-		t.Fatalf("mirror ReadStripes = %d, %v, want %d", got, err, n)
+	if got, err := wal.StripeCount(f.o.Dir); err != nil || got != n {
+		t.Fatalf("mirror StripeCount = %d, %v, want %d", got, err, n)
 	}
 	for i := 0; i < n; i++ {
 		sub := wal.StripeDirName(i)
@@ -127,11 +119,11 @@ func TestStripedFollowerMirrorsAndAcks(t *testing.T) {
 	if got := f.AckSeq(); got != 75 {
 		t.Fatalf("ack after second pull = %d, want 75", got)
 	}
-	if min, ok := p.src.MinAckStripe(1); !ok || min != 35 {
-		t.Fatalf("MinAckStripe(1) = %d, %v, want 35", min, ok)
+	if min, ok := p.src.MinAck(1); !ok || min != 35 {
+		t.Fatalf("MinAck(1) = %d, %v, want 35", min, ok)
 	}
-	if min, ok := p.src.MinAckStripe(0); !ok || min != 10 {
-		t.Fatalf("MinAckStripe(0) = %d, %v, want 10 (unmoved stripe regressed?)", min, ok)
+	if min, ok := p.src.MinAck(0); !ok || min != 10 {
+		t.Fatalf("MinAck(0) = %d, %v, want 10 (unmoved stripe regressed?)", min, ok)
 	}
 
 	// The mirror folds each stripe to the primary's exact state.
@@ -173,8 +165,8 @@ func TestStripedFollowerPinsUnknownStripes(t *testing.T) {
 	// A follower acks with no stripe detail at all (a legacy flat ack).
 	p.src.handleAckEntry(t)
 	for i := 0; i < 2; i++ {
-		if min, ok := p.src.MinAckStripe(i); !ok || min != 0 {
-			t.Fatalf("MinAckStripe(%d) = %d, %v, want a 0 pin", i, min, ok)
+		if min, ok := p.src.MinAck(i); !ok || min != 0 {
+			t.Fatalf("MinAck(%d) = %d, %v, want a 0 pin", i, min, ok)
 		}
 	}
 }

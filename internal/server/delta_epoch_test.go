@@ -232,19 +232,3 @@ func TestDeltaFallbackOnLargeBatch(t *testing.T) {
 	}
 	checkEpochAgainstDirect(t, d, ep)
 }
-
-// TestNoDeltaDisables pins the ablation/escape-hatch knob.
-func TestNoDeltaDisables(t *testing.T) {
-	d := newTestDaemon(t, Config{Rate: 60, MaxEpochAge: time.Hour, MaxBatch: 1 << 30, NoDelta: true})
-	for k := 0; k < 6; k++ {
-		admitType(t, d, k)
-		ep := forceRebuild(t, d)
-		if ep.Delta {
-			t.Fatal("NoDelta daemon published a delta epoch")
-		}
-	}
-	if d.met.DeltaRebuilds.Load() != 0 {
-		t.Errorf("NoDelta daemon counted %d delta rebuilds", d.met.DeltaRebuilds.Load())
-	}
-	checkEpochAgainstDirect(t, d, d.CurrentEpoch())
-}

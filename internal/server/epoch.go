@@ -151,7 +151,7 @@ func (d *Daemon) rebuild() {
 // O(N) lean float passes, so past a fraction of the population a single
 // from-scratch build is cheaper.
 func (d *Daemon) deltaEligible() bool {
-	if d.cfg.NoDelta || d.delta == nil || len(d.pending) == 0 {
+	if d.delta == nil || len(d.pending) == 0 {
 		return false
 	}
 	lim := int(d.cfg.DeltaMaxFraction*float64(len(d.order))) + 1

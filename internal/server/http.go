@@ -437,14 +437,12 @@ func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"sessions": hv.Sessions,
 		"used":     hv.Used,
 		"rate":     hv.Rate,
+		"shards":   hv.Shards,
 	}
-	// The flat shape is a wire contract (walcheck bit-compares it); the
-	// shard count rides along only when there is more than one, and the
-	// cluster reservation gauges only when prepares are pending — both
-	// additive, decoded by name, so existing consumers keep working.
-	if hv.Shards > 1 {
-		body["shards"] = hv.Shards
-	}
+	// The shape is a wire contract (walcheck bit-compares it); the
+	// cluster reservation gauges ride along only when prepares are
+	// pending — additive, decoded by name, so existing consumers keep
+	// working.
 	if hv.Prepares > 0 {
 		body["reserved"] = hv.Reserved
 		body["prepares"] = hv.Prepares

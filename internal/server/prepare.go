@@ -148,8 +148,8 @@ type CommitResult struct {
 	Reason    string
 }
 
-// Prepare implements Service: phase one on a standalone daemon (its own
-// shard, cfg.ShardID).
+// Prepare implements Service: phase one on this writer (its own shard,
+// slot.id).
 func (d *Daemon) Prepare(req PrepareRequest) (PrepareResult, error) {
 	if err := req.Validate(); err != nil {
 		return PrepareResult{}, err
@@ -162,14 +162,14 @@ func (d *Daemon) Prepare(req PrepareRequest) (PrepareResult, error) {
 	if res.err != nil {
 		return PrepareResult{}, res.err
 	}
-	return PrepareResult{Prepared: res.ok, Shard: int(d.cfg.ShardID),
+	return PrepareResult{Prepared: res.ok, Shard: int(d.slot.id),
 		Deadline: res.deadline, Free: res.free, Reason: res.reason}, nil
 }
 
 // CommitPrepared implements Service: phase two. shard must name this
 // writer (the coordinator echoes PrepareResult.Shard).
 func (d *Daemon) CommitPrepared(txid string, shard int) (CommitResult, error) {
-	if shard != int(d.cfg.ShardID) {
+	if shard != int(d.slot.id) {
 		return CommitResult{Reason: "unknown shard"}, nil
 	}
 	res, err := d.submit(op{kind: opCommitTx, txid: txid})
@@ -186,7 +186,7 @@ func (d *Daemon) CommitPrepared(txid string, shard int) (CommitResult, error) {
 // unknown (already resolved or expired) transaction reports false with
 // no error — rollback is idempotent from the coordinator's view.
 func (d *Daemon) AbortPrepared(txid string, shard int) (bool, error) {
-	if shard != int(d.cfg.ShardID) {
+	if shard != int(d.slot.id) {
 		return false, nil
 	}
 	res, err := d.submit(op{kind: opAbortTx, txid: txid})

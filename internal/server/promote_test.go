@@ -51,17 +51,10 @@ func TestPromoteEveryPrefix(t *testing.T) {
 	src := &replication.Source{
 		Dir:    walDir,
 		NodeID: "primary-test",
-		Head:   func() uint64 { return l.NextSeq() - 1 },
-		Audit:  audit,
+		Logs:   []*wal.Log{l},
+		Audits: []*replication.Audit{audit},
 	}
-	src.OnAck = func() {
-		mark := audit.DurableSeq()
-		if ack, ok := src.MinAck(); ok && ack < mark {
-			mark = ack
-		}
-		l.SetPruneWatermark(mark)
-	}
-	l.SetPruneWatermark(0)
+	t.Cleanup(src.HoldPrunes(time.Hour))
 	mux := http.NewServeMux()
 	src.Mount(mux)
 	ts := httptest.NewServer(mux)

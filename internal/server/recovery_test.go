@@ -222,8 +222,8 @@ func TestRateCacheCapConcurrentDistinctKeys(t *testing.T) {
 				}
 				req := testTypes[0]
 				req.Target.Delay = delay
-				if _, err := d.requiredRate(req.Arrival, req.Target); err != nil {
-					t.Errorf("worker %d requiredRate: %v", w, err)
+				if _, rej, ok, err := sizeAdmit(d.rates, d.met, req); !ok {
+					t.Errorf("worker %d sizeAdmit: %v %v", w, err, rej.Reason)
 					return
 				}
 			}

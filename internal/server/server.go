@@ -102,11 +102,6 @@ type Config struct {
 	SnapshotEvery int
 	// RateCacheMax bounds the required-rate memo (default 65536).
 	RateCacheMax int
-	// NoDelta disables incremental epoch rebuilds: every publish runs the
-	// from-scratch analysis. The delta path is bit-identical (and
-	// self-checked at runtime), so this knob exists for ablation and as
-	// an operational escape hatch.
-	NoDelta bool
 	// DeltaMaxOps caps how many pending mutations the incremental path
 	// will replay into one epoch; a larger batch falls back to a full
 	// rebuild, which is cheaper past that point (default 256).
@@ -120,30 +115,6 @@ type Config struct {
 	// difference. Default 128; negative disables.
 	SelfCheckEvery int
 
-	// ShardID and ShardBits place this daemon inside a sharded writer
-	// (server.Sharded): session ids carry the shard id in their low
-	// ShardBits bits, so the writer assigns ids with a stride of
-	// 1<<ShardBits starting at ShardID. The zero values reproduce the
-	// standalone daemon's ids exactly (stride 1 from 0).
-	ShardID   uint64
-	ShardBits uint
-	// Capacity is the slice of the link rate this writer admits
-	// against and analyzes at; 0 defaults to Rate for a standalone
-	// daemon. In a sharded writer the per-shard capacities always sum
-	// to at most Rate (the ledger enforces it), so per-shard analysis
-	// at Capacity is a sound hierarchical GPS decomposition of the
-	// link.
-	Capacity float64
-	// Ledger, when non-nil, lets the writer grow Capacity on demand:
-	// an admit that overflows the slice reserves a batched refill
-	// quantum from the shared budget instead of rejecting, and
-	// releases return surplus slack. Nil pins Capacity.
-	Ledger *ledger.Ledger
-	// LedgerQuantum is the refill batch size (see ledger.DefaultQuantum).
-	LedgerQuantum float64
-	// Rates optionally shares a required-rate memo across daemons; nil
-	// builds a private one bounded by RateCacheMax.
-	Rates *RateMemo
 	// Crash, when non-nil, is consulted at the writer's cluster
 	// durability boundaries (CrashClusterPrepare) — the same fault
 	// injector the WAL takes through wal.Options.Crash, threaded here so
@@ -183,10 +154,31 @@ func (c Config) withDefaults() Config {
 	if c.SelfCheckEvery == 0 {
 		c.SelfCheckEvery = 128
 	}
-	if c.Capacity <= 0 && c.Ledger == nil {
-		c.Capacity = c.Rate
-	}
 	return c
+}
+
+// shardSlot places a writer inside the sharded facade. New's slot —
+// the whole rate, no ledger, ids from 0 in steps of 1, a private rate
+// memo — is the standalone daemon, and a one-shard facade's.
+type shardSlot struct {
+	// id and bits: session ids carry the shard id in their low bits, so
+	// the writer assigns ids with a stride of 1<<bits starting at id.
+	id   uint64
+	bits uint
+	// capacity is the slice of the link rate the writer admits against
+	// and analyzes at. Per-shard capacities always sum to at most the
+	// rate (the ledger enforces it), so per-shard analysis at capacity
+	// is a sound hierarchical GPS decomposition of the link.
+	capacity float64
+	// ledger, when non-nil, lets the writer grow capacity on demand: an
+	// admit that overflows the slice reserves a refill, batched in
+	// quantum units, from the shared budget instead of rejecting, and
+	// releases return surplus slack. Nil pins capacity.
+	ledger  *ledger.Ledger
+	quantum float64
+	// rates is the required-rate memo every shard shares; nil builds a
+	// private one bounded by RateCacheMax.
+	rates *RateMemo
 }
 
 // Errors the submission path can return. ErrBusy is the backpressure
@@ -336,8 +328,9 @@ func (d *Daemon) typeRemove(rec *record) {
 // Daemon is the live admission-control service. Build with New; all
 // exported methods are safe for concurrent use.
 type Daemon struct {
-	cfg Config
-	met *Metrics
+	cfg  Config
+	slot shardSlot
+	met  *Metrics
 
 	ops     chan op
 	mu      sync.RWMutex // guards closing against in-flight submits
@@ -359,7 +352,7 @@ type Daemon struct {
 	used        float64  // Σ required rates of the admitted set
 	capacity    float64  // admission headroom ceiling (== cfg.Rate unless a ledger resizes it)
 	capDirty    bool     // capacity moved since the last analyzer refresh
-	stride      uint64   // id increment: 1<<cfg.ShardBits
+	stride      uint64   // id increment: 1<<slot.bits
 	nextID      uint64
 	opsSince    int // mutations since the last published epoch
 	dirty       bool
@@ -414,22 +407,33 @@ type Daemon struct {
 // epoch is the recovered admitted set, analyzed exactly as a fresh
 // offline AnalyzeServer over the same op history would.
 func New(cfg Config) (*Daemon, error) {
+	var st *wal.State
+	if cfg.Recovered != nil {
+		folded, err := cfg.Recovered.SessionSet()
+		if err != nil {
+			return nil, fmt.Errorf("server: replaying recovered history: %w", err)
+		}
+		st = &folded
+	}
+	return newDaemon(cfg, shardSlot{capacity: cfg.Rate}, st)
+}
+
+// newDaemon starts the writer for slot with cfg.Recovered already
+// folded into st (nil exactly when cfg.Recovered is), so the sharded
+// facade, which folds each stripe for its capacity split, never folds
+// one twice.
+func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 	cfg = cfg.withDefaults()
 	if err := validateRate(cfg.Rate); err != nil {
 		return nil, err
 	}
-	if cfg.Capacity < 0 || math.IsNaN(cfg.Capacity) || math.IsInf(cfg.Capacity, 0) {
-		return nil, fmt.Errorf("%w: capacity = %v, want nonnegative finite", gpsmath.ErrInvalidInput, cfg.Capacity)
-	}
-	if cfg.ShardID >= 1<<cfg.ShardBits {
-		return nil, fmt.Errorf("%w: shard id %d does not fit in %d shard bits", gpsmath.ErrInvalidInput, cfg.ShardID, cfg.ShardBits)
-	}
-	rates := cfg.Rates
+	rates := slot.rates
 	if rates == nil {
 		rates = NewRateMemo(cfg.RateCacheMax)
 	}
 	d := &Daemon{
 		cfg:        cfg,
+		slot:       slot,
 		met:        NewMetrics(),
 		rates:      rates,
 		ops:        make(chan op, cfg.QueueDepth),
@@ -438,23 +442,19 @@ func New(cfg Config) (*Daemon, error) {
 		types:      make(map[rateKey]*typeEntry),
 		resolvedTx: make(map[string]resolvedTxRec),
 		clusterTx:  make(map[uint64]clusterTxRec),
-		capacity:   cfg.Capacity,
-		stride:     1 << cfg.ShardBits,
-		nextID:     cfg.ShardID,
+		capacity:   slot.capacity,
+		stride:     1 << slot.bits,
+		nextID:     slot.id,
 		// Sized so the per-decision append never grows mid-batch (a
 		// batch is at most MaxBatch ops before a forced rebuild drains
 		// it); capped for configs that use MaxBatch as "never".
 		pending: make([]pendingOp, 0, min(cfg.MaxBatch, 4096)),
 	}
-	if cfg.Recovered != nil {
-		st, err := cfg.Recovered.SessionSet()
-		if err != nil {
-			return nil, fmt.Errorf("server: replaying recovered history: %w", err)
-		}
+	if st != nil {
 		if st.NextID != 0 {
-			if st.NextID&(d.stride-1) != cfg.ShardID {
+			if st.NextID&(d.stride-1) != slot.id {
 				return nil, fmt.Errorf("server: recovered id counter %d does not belong to shard %d/%d bits",
-					st.NextID, cfg.ShardID, cfg.ShardBits)
+					st.NextID, slot.id, slot.bits)
 			}
 			d.nextID = st.NextID
 		}
@@ -571,19 +571,40 @@ type AdmitResult struct {
 // link returns Admitted == false with a Reason. ErrBusy and ErrDraining
 // report backpressure and shutdown respectively.
 func (d *Daemon) Admit(req AdmitRequest) (AdmitResult, error) {
+	g, rej, ok, err := sizeAdmit(d.rates, d.met, req)
+	if !ok {
+		return rej, err
+	}
+	return d.admitSized(req, g)
+}
+
+// sizeAdmit validates an admit request and looks up its required rate
+// in the memo, counting the hit or miss on met. A request that is
+// well-formed but unsatisfiable at any finite rate is a rejection, not
+// a caller error: it comes back as rej with ok false and a nil error.
+func sizeAdmit(rates *RateMemo, met *Metrics, req AdmitRequest) (g float64, rej AdmitResult, ok bool, err error) {
 	if err := req.Arrival.Validate(); err != nil {
-		return AdmitResult{}, err
+		return 0, AdmitResult{}, false, err
 	}
 	if err := req.Target.Validate(); err != nil {
-		return AdmitResult{}, err
+		return 0, AdmitResult{}, false, err
 	}
-	g, err := d.requiredRate(req.Arrival, req.Target)
+	g, hit, err := rates.Required(req.Arrival, req.Target)
 	if err != nil {
-		// Well-formed but unsatisfiable at any finite rate: a rejection,
-		// not a caller error.
-		d.met.Rejects.Add(1)
-		return AdmitResult{Admitted: false, Reason: err.Error()}, nil
+		met.Rejects.Add(1)
+		return 0, AdmitResult{Reason: err.Error()}, false, nil
 	}
+	if hit {
+		met.CacheHits.Add(1)
+	} else {
+		met.CacheMisses.Add(1)
+	}
+	return g, AdmitResult{}, true, nil
+}
+
+// admitSized decides a validated request whose required rate g is
+// already known.
+func (d *Daemon) admitSized(req AdmitRequest, g float64) (AdmitResult, error) {
 	res, err := d.submit(op{kind: opAdmit, name: req.Name, arr: req.Arrival,
 		target: req.Target, g: g})
 	if err != nil {
@@ -674,21 +695,6 @@ func (d *Daemon) Close(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// requiredRate answers from the (possibly shared) RateMemo and keeps
-// this daemon's hit/miss counters.
-func (d *Daemon) requiredRate(p ebb.Process, t admission.Target) (float64, error) {
-	g, hit, err := d.rates.Required(p, t)
-	if err != nil {
-		return 0, err
-	}
-	if hit {
-		d.met.CacheHits.Add(1)
-	} else {
-		d.met.CacheMisses.Add(1)
-	}
-	return g, nil
 }
 
 // run is the single-writer loop: decide every queued mutation in O(1),
@@ -828,10 +834,10 @@ func (d *Daemon) releaseRecord(rec *record) {
 // like a full standalone link — when there is no ledger or the global
 // budget cannot cover the need.
 func (d *Daemon) refillCapacity(g float64) bool {
-	if d.cfg.Ledger == nil {
+	if d.slot.ledger == nil {
 		return false
 	}
-	granted := d.cfg.Ledger.Reserve(d.occupied()+g-d.capacity, d.cfg.LedgerQuantum)
+	granted := d.slot.ledger.Reserve(d.occupied()+g-d.capacity, d.slot.quantum)
 	if granted == 0 {
 		return false
 	}
@@ -847,8 +853,8 @@ func (d *Daemon) refillCapacity(g float64) bool {
 // always keeping at least one quantum of headroom, so admit/release
 // churn at a stable population never ping-pongs the shared word.
 func (d *Daemon) trimCapacity() {
-	led := d.cfg.Ledger
-	q := d.cfg.LedgerQuantum
+	led := d.slot.ledger
+	q := d.slot.quantum
 	if led == nil || !(q > 0) {
 		return
 	}

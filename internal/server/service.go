@@ -7,9 +7,10 @@ import (
 	"time"
 )
 
-// Service is the admission surface the HTTP layer serves. Both the
-// standalone single-writer Daemon and the Sharded facade implement it,
-// so cmd/gpsd mounts one handler whatever the shard count.
+// Service is the admission surface the HTTP layer serves. cmd/gpsd
+// serves the Sharded facade at every shard count; a bare Daemon — the
+// shard writer type — implements it too, so one writer can be served
+// and tested on its own.
 type Service interface {
 	Admit(AdmitRequest) (AdmitResult, error)
 	Release(id uint64) (bool, error)

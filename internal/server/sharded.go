@@ -13,9 +13,12 @@ import (
 	"repro/internal/wal"
 )
 
-// Sharded is the multi-writer admission service: N independent shard
-// Daemons, each the single writer for its slice of the session
-// population, composed behind one Service surface. Sessions are routed
+// Sharded is gpsd's admission service at every shard count: N
+// independent shard Daemons, each the single writer for its slice of
+// the session population, composed behind one Service surface. One
+// shard is the paper's single GPS server: it owns the whole link, runs
+// with no ledger, and assigns exactly a standalone Daemon's ids, so
+// every bound it serves is bit-identical to one. Sessions are routed
 // to shards by their leaky-bucket class (gpsmath.ShardOf over the ρ/φ
 // ratio — the feasible-partition key of eqs. 37–39), and the shard id
 // is bit-packed into the low ShardBits of every session id, so reads
@@ -32,12 +35,11 @@ type Sharded struct {
 	bits uint
 	mask uint64
 
-	cfg     Config // the template configuration (global Rate etc.)
-	quantum float64
-	led     *ledger.Ledger
-	rates   *RateMemo
-	met     *Metrics // facade-level counters: HTTP observations, routing rejects
-	shards  []*Daemon
+	cfg    Config // the template configuration (global Rate etc.)
+	led    *ledger.Ledger
+	rates  *RateMemo
+	met    *Metrics // facade-level counters: HTTP observations, routing rejects
+	shards []*Daemon
 
 	closing atomic.Bool
 }
@@ -57,7 +59,8 @@ func shardBits(n int) uint {
 // wal.OpenStriped. The per-shard capacity slices are derived from the
 // recovered per-shard Σφ by ledger.BootCapacities — a deterministic
 // function, so an offline verifier re-derives the same slices from the
-// same stripes.
+// same stripes. Only n >= 2 shards share a ledger; a lone shard's slice
+// is the whole rate.
 func NewSharded(cfg Config, n int, logs []AdmissionLog, recs []*wal.Recovered, audits []AuditSink) (*Sharded, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("%w: shard count %d, want >= 1", gpsmath.ErrInvalidInput, n)
@@ -75,11 +78,9 @@ func NewSharded(cfg Config, n int, logs []AdmissionLog, recs []*wal.Recovered, a
 	if audits != nil && len(audits) != n {
 		return nil, fmt.Errorf("server: %d audit sinks for %d shards", len(audits), n)
 	}
-	quantum := cfg.LedgerQuantum
-	if !(quantum > 0) {
-		quantum = ledger.DefaultQuantum(cfg.Rate, n)
-	}
+	quantum := ledger.DefaultQuantum(cfg.Rate, n)
 	used := make([]float64, n)
+	sts := make([]*wal.State, n)
 	for i := 0; i < n; i++ {
 		if recs == nil || recs[i] == nil {
 			continue
@@ -88,7 +89,7 @@ func NewSharded(cfg Config, n int, logs []AdmissionLog, recs []*wal.Recovered, a
 		if err != nil {
 			return nil, fmt.Errorf("server: shard %d recovery: %w", i, err)
 		}
-		used[i] = st.Used
+		used[i], sts[i] = st.Used, &st
 	}
 	caps, err := ledger.BootCapacities(used, cfg.Rate, quantum)
 	if err != nil {
@@ -102,24 +103,21 @@ func NewSharded(cfg Config, n int, logs []AdmissionLog, recs []*wal.Recovered, a
 		led.Grant(c)
 	}
 	s := &Sharded{
-		n:       n,
-		bits:    shardBits(n),
-		mask:    uint64(1)<<shardBits(n) - 1,
-		cfg:     cfg,
-		quantum: quantum,
-		led:     led,
-		rates:   NewRateMemo(cfg.RateCacheMax),
-		met:     NewMetrics(),
-		shards:  make([]*Daemon, n),
+		n:      n,
+		bits:   shardBits(n),
+		mask:   uint64(1)<<shardBits(n) - 1,
+		cfg:    cfg,
+		led:    led,
+		rates:  NewRateMemo(cfg.RateCacheMax),
+		met:    NewMetrics(),
+		shards: make([]*Daemon, n),
 	}
 	for i := 0; i < n; i++ {
+		slot := shardSlot{id: uint64(i), bits: s.bits, capacity: caps[i], quantum: quantum, rates: s.rates}
+		if n > 1 {
+			slot.ledger = led
+		}
 		scfg := cfg
-		scfg.ShardID = uint64(i)
-		scfg.ShardBits = s.bits
-		scfg.Capacity = caps[i]
-		scfg.Ledger = led
-		scfg.LedgerQuantum = quantum
-		scfg.Rates = s.rates
 		scfg.Log = nil
 		if logs != nil && logs[i] != nil {
 			scfg.Log = logs[i]
@@ -132,7 +130,7 @@ func NewSharded(cfg Config, n int, logs []AdmissionLog, recs []*wal.Recovered, a
 		if audits != nil && audits[i] != nil {
 			scfg.Audit = audits[i]
 		}
-		d, err := New(scfg)
+		d, err := newDaemon(scfg, slot, sts[i])
 		if err != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			for j := 0; j < i; j++ {
@@ -181,33 +179,22 @@ func (s *Sharded) shardOf(id uint64) int {
 	return k
 }
 
-// Admit implements Service: compute the required rate once (shared
-// memo), route by the session's ρ/φ class, and let the owning shard
-// writer decide. Decision latency is observed per shard, so a hot or
-// contended shard is visible in /metrics before it is slow.
+// Admit implements Service: validate and size the request once (shared
+// memo, counted here), route by the session's ρ/φ class, and hand the
+// owning shard writer the sized request to decide. Decision latency is
+// observed per shard, so a hot or contended shard is visible in
+// /metrics before it is slow.
 func (s *Sharded) Admit(req AdmitRequest) (AdmitResult, error) {
 	if s.closing.Load() {
 		return AdmitResult{}, ErrDraining
 	}
-	if err := req.Arrival.Validate(); err != nil {
-		return AdmitResult{}, err
-	}
-	if err := req.Target.Validate(); err != nil {
-		return AdmitResult{}, err
-	}
-	g, hit, err := s.rates.Required(req.Arrival, req.Target)
-	if err != nil {
-		s.met.Rejects.Add(1)
-		return AdmitResult{Admitted: false, Reason: err.Error()}, nil
-	}
-	if hit {
-		s.met.CacheHits.Add(1)
-	} else {
-		s.met.CacheMisses.Add(1)
+	g, rej, ok, err := sizeAdmit(s.rates, s.met, req)
+	if !ok {
+		return rej, err
 	}
 	d := s.shards[gpsmath.ShardOf(req.Arrival.Rho, g, s.n)]
 	start := time.Now()
-	res, err := d.Admit(req)
+	res, err := d.admitSized(req, g)
 	d.met.ObserveDecision(time.Since(start))
 	return res, err
 }

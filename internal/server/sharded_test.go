@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,4 +364,263 @@ func TestShardedRoutingErrors(t *testing.T) {
 	if misses := s.Metrics().ReleaseMisses.Load(); misses == 0 {
 		t.Error("unknown-shard release not counted as a miss")
 	}
+}
+
+// TestShardedRateMemoCountsOnce: the facade sizes each admit once and
+// hands the shard the rate, so k distinct-type admits show k memo
+// lookups in /metrics, not one at the facade and another at the shard.
+func TestShardedRateMemoCountsOnce(t *testing.T) {
+	s := newTestSharded(t, Config{Rate: 1000, MaxEpochAge: time.Hour}, 2)
+	const k = 10
+	for i := 0; i < k; i++ {
+		req := testTypes[0]
+		req.Target.Delay = 20 + float64(i)
+		if res, err := s.Admit(req); err != nil || !res.Admitted {
+			t.Fatalf("admit %d: admitted=%v err=%v", i, res.Admitted, err)
+		}
+	}
+	var buf bytes.Buffer
+	s.WriteMetrics(&buf)
+	counter := func(name string) int {
+		t.Helper()
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("%s missing from /metrics", name)
+		return 0
+	}
+	hits, misses := counter("gpsd_rate_cache_hits_total"), counter("gpsd_rate_cache_misses_total")
+	if hits+misses != k || misses != k {
+		t.Fatalf("rate memo hits=%d misses=%d after %d distinct-type admits, want 0 and %d", hits, misses, k, k)
+	}
+}
+
+// TestShardedOneShardMatchesDaemon pins the one-shard boot: a flat WAL
+// (a staged snapshot plus an op suffix) booted through
+// NewSharded(cfg, 1, …) serves exactly what a standalone Daemon booted
+// from a copy of it serves — ids, Σφ bits, partitions, and
+// Float64bits-identical bounds — through the same admit, release,
+// prepare, commit and abort sequence, up to the first rejection. A lone
+// shard is the whole link: analyzed at a ledger slice instead of the
+// rate, every bound would move.
+func TestShardedOneShardMatchesDaemon(t *testing.T) {
+	stage := filepath.Join(t.TempDir(), "stage")
+	l, _, err := wal.Open(stage, wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := NewRateMemo(0)
+	rec := func(id uint64, req AdmitRequest) wal.SessionRecord {
+		g, _, err := memo.Required(req.Arrival, req.Target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wal.SessionRecord{ID: id, Name: req.Name,
+			Rho: req.Arrival.Rho, Lambda: req.Arrival.Lambda, Alpha: req.Arrival.Alpha,
+			Delay: req.Target.Delay, Eps: req.Target.Eps, G: g}
+	}
+	var st wal.State
+	for i := 0; i < 12; i++ {
+		st.Sessions = append(st.Sessions, rec(uint64(i+1), testTypes[i%len(testTypes)]))
+		st.Used += st.Sessions[i].G
+	}
+	st.NextID = 12
+	st.Seq = l.NextSeq() - 1
+	if err := l.Snapshot(st); err != nil {
+		t.Fatal(err)
+	}
+	admit := rec(13, testTypes[1])
+	suffix := []wal.Op{
+		{Kind: wal.KindRelease, ID: 3},
+		{Kind: wal.KindAdmit, ID: 13, Name: admit.Name, Rho: admit.Rho, Lambda: admit.Lambda, Alpha: admit.Alpha,
+			Delay: admit.Delay, Eps: admit.Eps, G: admit.G},
+		{Kind: wal.KindRelease, ID: 7},
+	}
+	if err := l.Append(suffix); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rate := 2 * st.Used
+
+	type node interface {
+		Service
+		Rebuild() error
+	}
+	cfg := Config{Rate: rate, MaxEpochAge: time.Hour}
+	boot := func(sharded bool) node {
+		t.Helper()
+		dir := filepath.Join(t.TempDir(), "wal")
+		copyDir(t, stage, dir)
+		var n node
+		var close func(context.Context) error
+		if sharded {
+			logs, recs, err := wal.OpenStriped(dir, 1, wal.Options{Sync: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSharded(cfg, 1, []AdmissionLog{logs[0]}, recs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Shard(0).Capacity() != rate {
+				t.Fatalf("lone shard capacity %v, want the whole rate %v", s.Shard(0).Capacity(), rate)
+			}
+			n, close = s, s.Close
+		} else {
+			l, rec, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := cfg
+			c.Log, c.Recovered = l, rec
+			d, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, close = d, d.Close
+		}
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := close(ctx); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		})
+		return n
+	}
+	d, s := boot(false), boot(true)
+
+	live := map[uint64]bool{}
+	for _, r := range st.Sessions {
+		live[r.ID] = true
+	}
+	delete(live, 3)
+	delete(live, 7)
+	live[13] = true
+	compare := func(tag string) {
+		t.Helper()
+		if err := d.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Rebuild(); err != nil {
+			t.Fatal(err)
+		}
+		dh, sh := d.Health(), s.Health()
+		if math.Float64bits(dh.Used) != math.Float64bits(sh.Used) || dh.Sessions != sh.Sessions || dh.Sessions != len(live) ||
+			math.Float64bits(dh.Reserved) != math.Float64bits(sh.Reserved) || dh.Prepares != sh.Prepares {
+			t.Fatalf("%s: daemon health %+v, one-shard %+v (%d live)", tag, dh, sh, len(live))
+		}
+		dp, _ := d.Partition(-1)
+		sp, _ := s.Partition(-1)
+		if !reflect.DeepEqual(dp.Classes, sp.Classes) {
+			t.Fatalf("%s: partitions differ:\ndaemon    %v\none-shard %v", tag, dp.Classes, sp.Classes)
+		}
+		for id := range live {
+			for _, pt := range [][2]float64{{0, 0}, {0.5, 3}} {
+				db, dok := d.Bounds(id, pt[0], pt[1])
+				sb, sok := s.Bounds(id, pt[0], pt[1])
+				if !dok || !sok {
+					t.Fatalf("%s: session %d bounds served daemon=%v one-shard=%v", tag, id, dok, sok)
+				}
+				for _, f := range [][2]float64{{db.G, sb.G}, {db.Q, sb.Q}, {db.BacklogProb, sb.BacklogProb},
+					{db.Delay, sb.Delay}, {db.DelayProb, sb.DelayProb}, {db.AchievedEps, sb.AchievedEps}} {
+					if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+						t.Fatalf("%s: session %d at %v: daemon bounds %+v, one-shard %+v", tag, id, pt, db, sb)
+					}
+				}
+				if db.Theorem != sb.Theorem || db.MeetsTarget != sb.MeetsTarget {
+					t.Fatalf("%s: session %d: daemon bounds %+v, one-shard %+v", tag, id, db, sb)
+				}
+			}
+		}
+	}
+	both := func(tag string, f func(n node) (uint64, bool)) uint64 {
+		t.Helper()
+		did, dok := f(d)
+		sid, sok := f(s)
+		if did != sid || dok != sok {
+			t.Fatalf("%s: daemon (%d, %v), one-shard (%d, %v)", tag, did, dok, sid, sok)
+		}
+		return did
+	}
+	admitOn := func(k int) func(n node) (uint64, bool) {
+		return func(n node) (uint64, bool) {
+			res, err := n.Admit(testTypes[k%len(testTypes)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.ID, res.Admitted
+		}
+	}
+
+	compare("boot")
+	for k := 0; k < 4; k++ {
+		id := both("admit", admitOn(k))
+		if id == 0 {
+			t.Fatal("admit rejected with headroom left")
+		}
+		live[id] = true
+	}
+	for id := range live {
+		both("release", func(n node) (uint64, bool) {
+			ok, err := n.Release(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id, ok
+		})
+		delete(live, id)
+		break
+	}
+	compare("admit+release")
+
+	prepare := func(txid string) func(n node) (uint64, bool) {
+		return func(n node) (uint64, bool) {
+			res, err := n.Prepare(testPrepare(txid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return uint64(res.Shard), res.Prepared
+		}
+	}
+	both("prepare", prepare("tx-commit"))
+	both("prepare", prepare("tx-abort"))
+	compare("prepared")
+	live[both("commit", func(n node) (uint64, bool) {
+		res, err := n.CommitPrepared("tx-commit", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ID, res.Committed
+	})] = true
+	both("abort", func(n node) (uint64, bool) {
+		ok, err := n.AbortPrepared("tx-abort", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return 0, ok
+	})
+	compare("committed")
+
+	// Fill the link: both reject at the same admit, having assigned the
+	// same ids up to it.
+	for k := 0; ; k++ {
+		if k > 1000 {
+			t.Fatal("link never filled")
+		}
+		id := both("fill", admitOn(k))
+		if id == 0 {
+			break
+		}
+		live[id] = true
+	}
+	compare("full")
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,8 +27,8 @@ func TestStripedOpenRecoverFold(t *testing.T) {
 	if len(logs) != n || len(recs) != n {
 		t.Fatalf("got %d logs, %d recs, want %d", len(logs), len(recs), n)
 	}
-	if got, err := ReadStripes(dir); err != nil || got != n {
-		t.Fatalf("ReadStripes = %d, %v, want %d", got, err, n)
+	if got, err := StripeCount(dir); err != nil || got != n {
+		t.Fatalf("StripeCount = %d, %v, want %d", got, err, n)
 	}
 	// Each stripe gets a different op count so the fold cannot mix them
 	// up; ids are bit-packed shard-in-low-bits like the sharded daemon's.
@@ -103,11 +104,32 @@ func TestStripedOpenCountMismatch(t *testing.T) {
 	if _, _, err := OpenStriped(t.TempDir(), 0, Options{}); err == nil {
 		t.Fatal("fresh striped open with no count must fail")
 	}
+	if _, _, err := OpenStriped(dir, 1, Options{}); err == nil {
+		t.Fatal("reopening 2 stripes as 1 must fail")
+	}
+
+	// A fresh one-stripe open is a plain directory: no stripes file, the
+	// log at top level.
+	one := t.TempDir()
+	logs, _, err = OpenStriped(one, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if logs[0].Dir() != one {
+		t.Fatalf("one-stripe log opened in %s, want %s", logs[0].Dir(), one)
+	}
+	logs[0].Close()
+	if _, err := os.Stat(filepath.Join(one, StripesFileName)); !os.IsNotExist(err) {
+		t.Fatalf("fresh one-stripe open wrote a stripes file (stat err %v)", err)
+	}
+	if got, err := StripeCount(one); err != nil || got != 1 {
+		t.Fatalf("StripeCount after a one-stripe open = %d, %v, want 1", got, err)
+	}
 }
 
-// TestStripedRefusesFlat pins the no-mixing rule in both directions: a
-// flat directory cannot be striped over, and a striped directory is
-// not a flat log.
+// TestStripedRefusesFlat pins the layout rule: a directory with no
+// stripes file is stripe 0 of 1, so a flat log opens and reads as one
+// stripe with its history intact, and it cannot be re-striped.
 func TestStripedRefusesFlat(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, Options{})
@@ -118,28 +140,50 @@ func TestStripedRefusesFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Close()
-	if flat, err := HasFlatLayout(dir); err != nil || !flat {
-		t.Fatalf("HasFlatLayout = %v, %v, want true", flat, err)
+	if n, err := StripeCount(dir); err != nil || n != 1 {
+		t.Fatalf("StripeCount = %d, %v, want 1", n, err)
 	}
 	if _, _, err := OpenStriped(dir, 2, Options{}); err == nil || !strings.Contains(err.Error(), "refusing to stripe") {
 		t.Fatalf("OpenStriped over a flat log: %v, want a refusal", err)
 	}
-	if _, err := ReadStriped(dir); err == nil {
-		t.Fatal("ReadStriped over a flat log must fail")
+	recs, err := ReadStriped(dir)
+	if err != nil || len(recs) != 1 || len(recs[0].Ops) != 1 {
+		t.Fatalf("ReadStriped over a flat log = %d stripes, %v, want one stripe holding its op", len(recs), err)
+	}
+	for _, n := range []int{0, 1} {
+		logs, recs, err := OpenStriped(dir, n, Options{})
+		if err != nil {
+			t.Fatalf("OpenStriped(flat, %d): %v", n, err)
+		}
+		if len(logs) != 1 || logs[0].Dir() != dir || len(recs[0].Ops) != 1 || logs[0].NextSeq() != 2 {
+			t.Fatalf("OpenStriped(flat, %d) = %d logs, want the flat log resumed at seq 2", n, len(logs))
+		}
+		logs[0].Close()
+	}
+	if _, err := os.Stat(filepath.Join(dir, StripesFileName)); !os.IsNotExist(err) {
+		t.Fatalf("opening a flat log wrote a stripes file (stat err %v)", err)
 	}
 }
 
 func TestReadStripesCorruptAndAbsent(t *testing.T) {
-	if n, err := ReadStripes(filepath.Join(t.TempDir(), "nowhere")); n != 0 || err != nil {
+	if n, err := readStripes(filepath.Join(t.TempDir(), "nowhere")); n != 0 || err != nil {
 		t.Fatalf("absent dir: %d, %v, want 0, nil", n, err)
 	}
-	for _, bad := range []string{"", "zero", "0", "-1", "1048577"} {
+	if n, err := StripeCount(filepath.Join(t.TempDir(), "nowhere")); n != 0 || err != nil {
+		t.Fatalf("absent dir StripeCount: %d, %v, want 0, nil", n, err)
+	}
+	// No gpsd writes a stripes file for one stripe: a recorded 1 would
+	// recover an empty stripe-00 over a top-level history.
+	for _, bad := range []string{"", "zero", "0", "1", "-1", "1048577"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, StripesFileName), []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadStripes(dir); err == nil {
-			t.Errorf("stripes file %q accepted", bad)
+		if _, err := readStripes(dir); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("stripes file %q: %v, want corruption", bad, err)
+		}
+		if _, _, err := OpenStriped(dir, 0, Options{}); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("OpenStriped over stripes file %q: %v, want corruption", bad, err)
 		}
 	}
 }

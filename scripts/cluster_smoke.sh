@@ -81,7 +81,7 @@ drain() {
 
 # state_line WALDIR: the offline fold's one-line state summary
 # (sessions, used-capacity bits) — the pre/post comparison key for the
-# fail-closed claim. Striped folds print one line per stripe.
+# fail-closed claim, one line per stripe.
 state_line() {
     "$DIR/walcheck" -wal-dir "$1" -rate 1 | grep 'sessions='
 }

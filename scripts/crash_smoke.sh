@@ -3,7 +3,8 @@
 # Three kill/recover/verify iterations plus a corruption-rejection
 # check:
 #
-#   1. Boot gpsd with a flat single-writer WAL (-shards 1), churn it
+#   1. Boot gpsd with one shard (-shards 1: a one-stripe WAL, its
+#      segments at the top of the directory), churn it
 #      with gpsdload, SIGKILL the daemon mid-churn from outside
 #      (gpsdload -kill-pid). Recover the log offline with walcheck,
 #      restart gpsd on the same directory, and require the recovered
@@ -82,7 +83,7 @@ recover_and_verify() {
     GPSD_PID=
 }
 
-echo "crash-smoke: iteration 1: external SIGKILL mid-churn (flat WAL)"
+echo "crash-smoke: iteration 1: external SIGKILL mid-churn (one-stripe WAL)"
 WAL1="$DIR/wal1"
 start_gpsd "$WAL1" -shards 1
 "$DIR/gpsdload" -url "http://$ADDR" -sessions 120 -workers 4 \

@@ -51,9 +51,10 @@ WALP="$DIR/wal-primary"
 WALF="$DIR/wal-standby"
 
 echo "repl-smoke: booting primary and warm standby"
-# Pinned to the flat single-writer layout: steps 3-4 prove inclusion in
-# ONE Merkle audit chain (-verify-proof), which a striped layout splits
-# per stripe. crash_smoke.sh covers the striped failover path.
+# Pinned to one shard: steps 3-4 prove inclusion in its ONE Merkle
+# audit chain (-verify-proof with no -proof-stripe), where several
+# shards would each keep their own. crash_smoke.sh covers the
+# multi-stripe failover path.
 "$DIR/gpsd" -addr 127.0.0.1:0 -addr-file "$DIR/addr-p" -rate "$RATE" \
     -wal-dir "$WALP" -wal-sync always -snapshot-every 64 -shards 1 \
     >>"$DIR/gpsd.log" 2>&1 &

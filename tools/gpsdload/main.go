@@ -234,10 +234,10 @@ func (c *client) metrics() (string, error) {
 	return string(body), err
 }
 
-// shardReport prints a per-shard table from a /metrics scrape of a
-// sharded daemon: decision count and p50/p99 decision latency from
-// the server-side P2 estimators, plus sessions and queue depth. A
-// flat daemon exports no gpsd_shard_* series and prints nothing.
+// shardReport prints a per-shard table from a /metrics scrape of gpsd:
+// decision count and p50/p99 decision latency from the server-side P2
+// estimators, plus sessions and queue depth — one row for a one-shard
+// node. A daemon that exports no gpsd_shard_* series prints nothing.
 func shardReport(text string) {
 	get := func(name, shard, rest string) (float64, bool) {
 		re := regexp.MustCompile(name + `\{shard="` + shard + `"` + rest + `\} ([0-9eE+.\-]+|NaN)`)

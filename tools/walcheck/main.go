@@ -1,26 +1,34 @@
 // Command walcheck is the offline half of the crash-recovery contract:
-// it reads a gpsd write-ahead log directory (newest valid snapshot +
-// replayable suffix, tolerating a torn tail, refusing interior
-// corruption), folds the history into the admitted session set, and
-// runs a fresh offline gpsmath.AnalyzeServer over it — the ground truth
-// a recovered daemon's first epoch must match bit for bit.
+// it reads a gpsd write-ahead log directory stripe by stripe (newest
+// valid snapshot + replayable suffix, tolerating a torn tail, refusing
+// interior corruption), folds each stripe's history into its shard's
+// admitted session set, re-derives the per-shard capacities with the
+// same deterministic ledger.BootCapacities split gpsd computes on boot
+// (the whole rate for a one-stripe directory), and runs a fresh
+// offline gpsmath.AnalyzeServer per shard at its capacity — the ground
+// truth a recovered daemon's first epochs must match bit for bit.
 //
 //	walcheck -wal-dir ./wal -rate 2000              # inspect + analyze
 //	walcheck -wal-dir ./wal -rate 2000 -url http://127.0.0.1:7070
 //	walcheck -wal-dir ./wal -rate 2000 -verify-proof 1234 -expect-head <hex>
 //
-// With -url it verifies a live daemon against that ground truth:
-// session count, the running Σφ (compared by IEEE-754 bit pattern, not
-// approximately), the feasible partition H_1..H_L by session id, and a
-// sample of per-session tail bounds. Any divergence exits 1; interior
-// log corruption exits 2 with the typed *wal.CorruptError rendered.
+// With -url it verifies a live daemon against that ground truth: rate,
+// shard count, session count, the running Σφ folded in shard index
+// order (compared by IEEE-754 bit pattern, not approximately), every
+// shard's feasible partition H_1..H_L by session id, and a sample of
+// per-session tail bounds. The capacity reconstruction assumes the
+// daemon booted from exactly this WAL state: a shard that has refilled
+// its ledger slice since boot runs at a different capacity than the
+// boot split implies. Any divergence exits 1; interior log corruption
+// exits 2 with the typed *wal.CorruptError rendered.
 // scripts/crash_smoke.sh drives both modes around a SIGKILL.
 //
-// When the directory holds a Merkle audit trail (audit.log, written by
-// a WAL-backed gpsd), walcheck rechecks its seal chain and re-hashes
-// every decision frame still on disk against its leaf; -verify-proof N
+// Each stripe holds a Merkle audit trail (audit.log, written by a
+// WAL-backed gpsd): walcheck rechecks its seal chain and re-hashes
+// every decision frame still on disk against its leaf. -verify-proof N
 // additionally builds and folds the inclusion-and-extension proof for
-// the op at sequence N, proving the record is in the history and the
+// the op at sequence N of one stripe's chain (-proof-stripe, required
+// when there are several), proving the record is in the history and the
 // history is append-only under the attested head (-expect-head, or the
 // trail's own recomputed head). scripts/repl_smoke.sh drives this
 // around a primary kill + follower promotion.
@@ -37,7 +45,6 @@ import (
 	"math"
 	"net/http"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strconv"
 	"time"
@@ -57,8 +64,7 @@ func main() {
 	samples := flag.Int("samples", 8, "per-session bound endpoints to verify when -url is set")
 	verifyProof := flag.Uint64("verify-proof", 0, "prove the decision at this op sequence is in the Merkle audit history and the history is append-only (0 = off)")
 	expectHead := flag.String("expect-head", "", "hex audit head recorded out of band; proofs and the trail must fold to exactly this head")
-	proofStripe := flag.Int("proof-stripe", -1, "stripe whose audit chain -verify-proof/-expect-head apply to (striped layouts; sequences are per-stripe)")
-	ledgerQuantum := flag.Float64("ledger-quantum", 0, "ledger refill quantum the daemon runs with (striped layouts; 0 = rate/(stripes*16))")
+	proofStripe := flag.Int("proof-stripe", -1, "stripe whose audit chain -verify-proof/-expect-head apply to (sequences are per-stripe; required with several stripes)")
 	topoPath := flag.String("topology", "", "topology JSON the coordinator ran over (coordinator journals; required to analyze or verify)")
 	flag.Parse()
 	if *walDir == "" {
@@ -74,8 +80,8 @@ func main() {
 		log.Printf("walcheck: CORRUPT: %v", err)
 		os.Exit(2)
 	} else if isCoord {
-		if *rate != 0 || *proofStripe >= 0 || *ledgerQuantum != 0 {
-			log.Fatalf("walcheck: %s holds a coordinator journal; -rate, -proof-stripe and -ledger-quantum apply to hop WALs (use -topology)", *walDir)
+		if *rate != 0 || *proofStripe >= 0 {
+			log.Fatalf("walcheck: %s holds a coordinator journal; -rate and -proof-stripe apply to hop WALs (use -topology)", *walDir)
 		}
 		coordMain(*walDir, *topoPath, *url, *samples, *verifyProof, *expectHead)
 		return
@@ -88,27 +94,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	if stripes, err := wal.ReadStripes(*walDir); err != nil {
-		log.Printf("walcheck: CORRUPT: %v", err)
-		os.Exit(2)
-	} else if stripes > 0 {
-		// A striped layout has one audit chain per stripe, each with its
-		// own sequence space: a proof request must name the stripe it
-		// speaks about.
-		if (*verifyProof != 0 || *expectHead != "") && *proofStripe < 0 {
-			log.Fatalf("walcheck: a striped layout has one audit chain per stripe; add -proof-stripe N to say which one -verify-proof/-expect-head apply to")
-		}
-		if *proofStripe >= stripes {
-			log.Fatalf("walcheck: -proof-stripe %d, but the layout has %d stripes", *proofStripe, stripes)
-		}
-		stripedMain(*walDir, stripes, *rate, *ledgerQuantum, *url, *samples, *proofStripe, *verifyProof, *expectHead)
-		return
-	}
-	if *proofStripe >= 0 {
-		log.Fatalf("walcheck: -proof-stripe only applies to striped layouts; %s is flat", *walDir)
-	}
-
-	rec, err := wal.Read(*walDir)
+	recs, err := wal.ReadStriped(*walDir)
 	if err != nil {
 		if errors.Is(err, wal.ErrCorrupt) {
 			log.Printf("walcheck: CORRUPT: %v", err)
@@ -116,62 +102,19 @@ func main() {
 		}
 		log.Fatalf("walcheck: %v", err)
 	}
-	st, err := rec.SessionSet()
-	if err != nil {
-		if errors.Is(err, wal.ErrCorrupt) {
-			log.Printf("walcheck: CORRUPT: %v", err)
-			os.Exit(2)
+	stripes := len(recs)
+	// Every stripe has its own audit chain and sequence space: a proof
+	// request must name the stripe it speaks about unless there is one.
+	if *proofStripe < 0 && (*verifyProof != 0 || *expectHead != "") {
+		if stripes > 1 {
+			log.Fatalf("walcheck: %s has one audit chain per stripe; add -proof-stripe N to say which one -verify-proof/-expect-head apply to", *walDir)
 		}
-		log.Fatalf("walcheck: %v", err)
+		*proofStripe = 0
 	}
-	fmt.Printf("walcheck: %s: snapshot seq %d, %d replayed ops, %d torn bytes, %d corrupt snapshots skipped\n",
-		*walDir, rec.State.Seq, len(rec.Ops), rec.TornBytes, rec.SkippedSnapshots)
-	fmt.Printf("walcheck: state: sessions=%d used=%g (bits %#x) next-id=%d\n",
-		len(st.Sessions), st.Used, math.Float64bits(st.Used), st.NextID)
-
-	an := analyze(st, *rate)
-	if an != nil {
-		sizes := make([]int, len(an.Partition.Classes))
-		for i, c := range an.Partition.Classes {
-			sizes[i] = len(c)
-		}
-		fmt.Printf("walcheck: partition: %d classes, sizes %v\n", len(sizes), sizes)
+	if *proofStripe >= stripes {
+		log.Fatalf("walcheck: -proof-stripe %d, but the layout has %d stripe(s)", *proofStripe, stripes)
 	}
 
-	auditCheck(*walDir, *verifyProof, *expectHead)
-
-	if *url != "" {
-		if err := verify(*url, st, an, *rate, *samples); err != nil {
-			log.Fatalf("walcheck: MISMATCH: %v", err)
-		}
-		fmt.Println("walcheck: OK: live daemon matches the offline analysis bit for bit")
-	}
-}
-
-// stripedMain is the striped-layout analogue of the flat path: it
-// folds every stripe independently, re-derives the per-shard
-// capacities with the same deterministic BootCapacities split a
-// sharded gpsd computes on boot, and runs one offline AnalyzeServer
-// per stripe at its shard's capacity — the ground truth each shard's
-// first recovered epoch must match bit for bit. Each stripe's audit
-// trail is rechecked in place. With -url the composed daemon is
-// verified: rate, shard count, summed session count, the running Σφ
-// folded in shard index order (bit-compared), every per-shard
-// partition by session id, and sampled per-session bounds against
-// that shard's analysis. The capacity reconstruction assumes the
-// daemon booted from exactly this WAL state (crash_smoke's
-// restart-then-verify window); a shard that has refilled its ledger
-// reservation since boot runs at a different capacity than the boot
-// split implies.
-func stripedMain(dir string, stripes int, rate, quantum float64, base string, samples int, proofStripe int, proofSeq uint64, expectHead string) {
-	recs, err := wal.ReadStriped(dir)
-	if err != nil {
-		if errors.Is(err, wal.ErrCorrupt) {
-			log.Printf("walcheck: CORRUPT: %v", err)
-			os.Exit(2)
-		}
-		log.Fatalf("walcheck: %v", err)
-	}
 	sts := make([]wal.State, stripes)
 	useds := make([]float64, stripes)
 	var replayed, sessions int
@@ -188,15 +131,12 @@ func stripedMain(dir string, stripes int, rate, quantum float64, base string, sa
 		sts[i], useds[i] = st, st.Used
 		replayed += len(rec.Ops)
 		sessions += len(st.Sessions)
-		torn += int64(rec.TornBytes)
+		torn += rec.TornBytes
 		fmt.Printf("walcheck: %s: snapshot seq %d, %d replayed ops, %d torn bytes, %d corrupt snapshots skipped\n",
-			wal.StripeDirName(i), rec.State.Seq, len(rec.Ops), rec.TornBytes, rec.SkippedSnapshots)
+			wal.StripeDir(*walDir, stripes, i), rec.State.Seq, len(rec.Ops), rec.TornBytes, rec.SkippedSnapshots)
 	}
 
-	if !(quantum > 0) {
-		quantum = ledger.DefaultQuantum(rate, stripes)
-	}
-	caps, err := ledger.BootCapacities(useds, rate, quantum)
+	caps, err := ledger.BootCapacities(useds, *rate, 0)
 	if err != nil {
 		log.Fatalf("walcheck: boot capacity split: %v", err)
 	}
@@ -205,37 +145,42 @@ func stripedMain(dir string, stripes int, rate, quantum float64, base string, sa
 	for i := range sts {
 		used += useds[i] // shard index order, exactly the composed health fold
 		ans[i] = analyze(sts[i], caps[i])
-		classes := 0
+		sizes := []int{}
 		if ans[i] != nil {
-			classes = len(ans[i].Partition.Classes)
+			for _, c := range ans[i].Partition.Classes {
+				sizes = append(sizes, len(c))
+			}
 		}
-		fmt.Printf("walcheck: %s: sessions=%d used=%g (bits %#x) capacity=%g partition: %d classes\n",
-			wal.StripeDirName(i), len(sts[i].Sessions), useds[i], math.Float64bits(useds[i]), caps[i], classes)
+		fmt.Printf("walcheck: %s: sessions=%d used=%g (bits %#x) next-id=%d capacity=%g partition: %d classes, sizes %v\n",
+			wal.StripeDir(*walDir, stripes, i), len(sts[i].Sessions), useds[i], math.Float64bits(useds[i]), sts[i].NextID, caps[i], len(sizes), sizes)
 	}
-	fmt.Printf("walcheck: striped: %d stripes, %d sessions, %d replayed ops, %d torn bytes, composed used=%g (bits %#x), quantum=%g\n",
-		stripes, sessions, replayed, torn, used, math.Float64bits(used), quantum)
+	fmt.Printf("walcheck: striped: %d stripes, %d sessions, %d replayed ops, %d torn bytes, composed used=%g (bits %#x)\n",
+		stripes, sessions, replayed, torn, used, math.Float64bits(used))
 
-	for i := 0; i < stripes; i++ {
-		if i == proofStripe {
-			auditCheck(filepath.Join(dir, wal.StripeDirName(i)), proofSeq, expectHead)
-		} else {
-			auditCheck(filepath.Join(dir, wal.StripeDirName(i)), 0, "")
+	for i := range stripes {
+		proof, head := uint64(0), ""
+		if i == *proofStripe {
+			proof, head = *verifyProof, *expectHead
 		}
+		auditCheck(wal.StripeDir(*walDir, stripes, i), proof, head)
 	}
 
-	if base == "" {
+	if *url == "" {
 		return
 	}
-	if err := verifySharded(base, sts, ans, used, rate, stripes, samples); err != nil {
+	if err := verify(*url, sts, ans, used, *rate, *samples); err != nil {
 		log.Fatalf("walcheck: MISMATCH: %v", err)
 	}
-	fmt.Println("walcheck: OK: live sharded daemon matches the per-stripe offline analyses bit for bit")
+	fmt.Println("walcheck: OK: live daemon matches the per-stripe offline analyses bit for bit")
 }
 
-// verifySharded compares a live sharded daemon against the per-stripe
-// ground truth: the composed health document, then each shard's
-// partition and sampled bounds against its own stripe's analysis.
-func verifySharded(base string, sts []wal.State, ans []*gpsmath.Analysis, used, rate float64, stripes, samples int) error {
+// verify compares a live daemon against the per-stripe ground truth:
+// the composed health document, then each shard's partition and
+// sampled bounds against its own stripe's analysis. Floats survive Go's
+// JSON round-trip exactly (shortest representation that parses back to
+// the same float64), so == on the decoded values is a bit-pattern
+// comparison.
+func verify(base string, sts []wal.State, ans []*gpsmath.Analysis, used, rate float64, samples int) error {
 	hc := &http.Client{Timeout: 10 * time.Second}
 
 	var health struct {
@@ -251,8 +196,8 @@ func verifySharded(base string, sts []wal.State, ans []*gpsmath.Analysis, used, 
 	if health.Rate != rate {
 		return fmt.Errorf("daemon rate %v, walcheck invoked with %v — the analyses are not comparable", health.Rate, rate)
 	}
-	if health.Shards != stripes {
-		return fmt.Errorf("daemon runs %d shard(s), WAL directory holds %d stripes", health.Shards, stripes)
+	if health.Shards != len(sts) {
+		return fmt.Errorf("daemon runs %d shard(s), WAL directory holds %d stripe(s)", health.Shards, len(sts))
 	}
 	sessions := 0
 	for _, st := range sts {
@@ -409,68 +354,6 @@ func getJSON(hc *http.Client, url string, v any) error {
 		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, body)
 	}
 	return json.Unmarshal(body, v)
-}
-
-// verify compares the live daemon against the offline ground truth.
-// Floats survive Go's JSON round-trip exactly (shortest representation
-// that parses back to the same float64), so == on the decoded values is
-// a bit-pattern comparison.
-func verify(base string, st wal.State, an *gpsmath.Analysis, rate float64, samples int) error {
-	hc := &http.Client{Timeout: 10 * time.Second}
-
-	var health struct {
-		Status   string  `json:"status"`
-		Sessions int     `json:"sessions"`
-		Used     float64 `json:"used"`
-		Rate     float64 `json:"rate"`
-	}
-	if err := getJSON(hc, base+"/healthz", &health); err != nil {
-		return err
-	}
-	if health.Rate != rate {
-		return fmt.Errorf("daemon rate %v, walcheck invoked with %v — the analyses are not comparable", health.Rate, rate)
-	}
-	if health.Sessions != len(st.Sessions) {
-		return fmt.Errorf("daemon has %d sessions, WAL history implies %d", health.Sessions, len(st.Sessions))
-	}
-	if math.Float64bits(health.Used) != math.Float64bits(st.Used) {
-		return fmt.Errorf("daemon Σφ bits %#x, WAL history implies %#x", math.Float64bits(health.Used), math.Float64bits(st.Used))
-	}
-
-	var part struct {
-		Sessions int        `json:"sessions"`
-		Classes  [][]string `json:"classes"`
-	}
-	if err := getJSON(hc, base+"/v1/partition", &part); err != nil {
-		return err
-	}
-	want := [][]string{}
-	if an != nil {
-		for _, class := range an.Partition.Classes {
-			ids := make([]string, len(class))
-			for k, i := range class {
-				ids[k] = strconv.FormatUint(st.Sessions[i].ID, 10)
-			}
-			want = append(want, ids)
-		}
-	}
-	if !reflect.DeepEqual(part.Classes, want) {
-		return fmt.Errorf("partition differs:\nlive    %v\noffline %v", part.Classes, want)
-	}
-
-	if an == nil || samples <= 0 {
-		return nil
-	}
-	step := len(st.Sessions) / samples
-	if step < 1 {
-		step = 1
-	}
-	for i := 0; i < len(st.Sessions); i += step {
-		if err := verifyBounds(hc, base, st.Sessions[i], i, an); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // verifyBounds checks one session's served tail bounds against the
