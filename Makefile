@@ -29,6 +29,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzAdmitDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/server
 	$(GO) test -fuzz FuzzWALDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzShipFrameDecode -fuzztime $(FUZZTIME) -run '^$$' ./internal/replication
+	$(GO) test -fuzz FuzzDeltaAnalyzer -fuzztime $(FUZZTIME) -run '^$$' ./internal/gpsmath
 
 # serve-smoke boots a real gpsd on an ephemeral port, runs a short
 # gpsdload churn burst against it, and asserts zero 5xx before draining
@@ -73,10 +74,12 @@ check: vet build test fuzz-smoke serve-smoke crash-smoke repl-smoke perfcheck de
 # Each benchmark is sampled $(BENCHCOUNT) times and benchjson keeps the
 # fastest sample — background load only inflates ns/op, so min-of-N is
 # the noise floor that keeps snapshots comparable on a shared machine.
-# Non-benchmark output passes through to the terminal.
+# Non-benchmark output passes through to the terminal. The full suite
+# outlasts go test's default 10-minute timeout on a 2-CPU host, hence
+# the explicit one.
 BENCHSTAMP := $(shell date -u +%Y-%m-%dT%H%M%SZ)
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) . \
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout 60m . \
 		| $(GO) run ./tools/benchjson > BENCH_$(BENCHSTAMP).json
 	@echo "wrote BENCH_$(BENCHSTAMP).json"
 
@@ -89,11 +92,13 @@ benchcheck:
 
 # deltacheck is the incremental-analysis differential gate, uncached
 # and race-enabled: the gpsmath DeltaAnalyzer must stay bit-identical
-# to fresh AnalyzeServer under seeded churn, and the daemon's
-# delta-built epochs must match the direct (ClassifyUnderRate /
-# AdmissionDecision) recomputations.
+# to fresh AnalyzeServer under seeded churn (FuzzDeltaAnalyzer's seed
+# corpus included), the Lemma 6 floor's pruned best-of-routes min must
+# stay bit-identical to the unpruned oracle (and keep firing at gpsd's
+# populations), and the daemon's delta-built epochs must match the
+# direct (ClassifyUnderRate / AdmissionDecision) recomputations.
 deltacheck:
-	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestDeltaFallback' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestDeltaFallback|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor' ./internal/gpsmath ./internal/server
 
 # shardcheck is the sharded-writer differential gate, uncached and
 # race-enabled: the capacity ledger's budget invariant, concurrent

@@ -1146,6 +1146,81 @@ func populateDaemon(b *testing.B, d *server.Daemon, req server.AdmitRequest, pop
 	}
 }
 
+// BenchmarkBoundsRead times one default-point bounds read — what GET
+// /v1/bounds/{id} with no query costs a daemon — against a published
+// epoch of 10k and 131k sessions: tools/gpsdload's four service
+// classes, admitted in equal shares up to 75% of the link rate (the
+// gpsdbench node workloads' load factor). Each iteration reads a
+// seeded-random session, so reads sample every ordering position.
+func BenchmarkBoundsRead(b *testing.B) {
+	for _, n := range []int{10_000, 131_072} {
+		b.Run(fmt.Sprintf("sessions-%d", n), func(b *testing.B) {
+			benchBoundsRead(b, n)
+		})
+	}
+}
+
+func benchBoundsRead(b *testing.B, population int) {
+	palette := []server.AdmitRequest{
+		{Name: "voice", Arrival: ebb.Process{Rho: 0.05, Lambda: 1, Alpha: 2}, Target: admission.Target{Delay: 20, Eps: 1e-4}},
+		{Name: "video", Arrival: ebb.Process{Rho: 0.30, Lambda: 2, Alpha: 0.8}, Target: admission.Target{Delay: 40, Eps: 1e-3}},
+		{Name: "data", Arrival: ebb.Process{Rho: 0.10, Lambda: 1.5, Alpha: 1.2}, Target: admission.Target{Delay: 80, Eps: 1e-2}},
+		{Name: "bulk", Arrival: ebb.Process{Rho: 0.20, Lambda: 1, Alpha: 0.5}, Target: admission.Target{Delay: 160, Eps: 5e-2}},
+	}
+	used := 0.0
+	for k, req := range palette {
+		g, err := admission.RequiredRate(req.Arrival, req.Target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		used += g * float64(share(population, len(palette), k))
+	}
+	d, err := server.New(server.Config{
+		Rate:        used / 0.75,
+		QueueDepth:  1 << 14,
+		MaxBatch:    1 << 30,
+		MaxEpochAge: time.Hour,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := d.Close(ctx); err != nil {
+			b.Error(err)
+		}
+	})
+	for k, req := range palette {
+		populateDaemon(b, d, req, share(population, len(palette), k))
+	}
+	if err := d.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	ep := d.CurrentEpoch()
+	if ep.Sessions() != population {
+		b.Fatalf("epoch holds %d sessions, want %d", ep.Sessions(), population)
+	}
+	rng := source.NewRNG(uint64(population))
+	drainHeap()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id := ep.IDs[rng.Intn(population)]
+		if rep, ok := ep.BoundsFor(id, 0, 0); !ok || !(rep.DelayProb >= 0) {
+			b.Fatalf("bounds of %d: ok=%v report=%+v", id, ok, rep)
+		}
+	}
+}
+
+// share is the k-th of parts near-equal shares of n.
+func share(n, parts, k int) int {
+	s := n / parts
+	if k < n%parts {
+		s++
+	}
+	return s
+}
+
 // BenchmarkAdmitThroughputScaling pins the O(1) decision contract at a
 // 1M-session population: admit/release decisions against the memoized
 // required rate must not degrade with the admitted set size. No WAL —

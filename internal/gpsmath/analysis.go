@@ -236,9 +236,7 @@ func (a *Analysis) BestBacklogTailValue(i int, q float64) float64 {
 		v = b.BacklogTail(q)
 	}
 	if b := a.OrderingBound(i); b != nil {
-		if w := b.BacklogTail(q); w < v {
-			v = w
-		}
+		v = b.minWith(v, q)
 	}
 	return v
 }
@@ -250,12 +248,18 @@ func (a *Analysis) BestDelayTailValue(i int, d float64) float64 {
 	if b := a.PartitionBound(i); b != nil {
 		v = b.DelayTail(d)
 	}
+	return a.BestDelayTailFrom(i, d, v)
+}
+
+// BestDelayTailFrom is BestDelayTailValue for a caller that already
+// holds p, session i's partition-route bound at delay d (gpsd memoizes
+// it per session type): the ordering route's bound replaces p only when
+// strictly lower, bit for bit as in BestDelayTailValue.
+func (a *Analysis) BestDelayTailFrom(i int, d, p float64) float64 {
 	if b := a.OrderingBound(i); b != nil {
-		if w := b.DelayTail(d); w < v {
-			v = w
-		}
+		return b.minWith(p, b.G*d)
 	}
-	return v
+	return p
 }
 
 // DimensionError reports per-session target slices whose lengths do not
@@ -290,7 +294,9 @@ func (e *DimensionError) Unwrap() error { return ErrInvalidInput }
 // target — but the ordering route's Theorem 7/8 prefactor costs Θ(i) per
 // evaluation, so consulting it only on a partition-route miss keeps a
 // large decision (the gpsd epoch rebuild) linear instead of quadratic in
-// the session count.
+// the session count. A miss goes through the same floor-aware min as
+// BestDelayTailValue, which skips the evaluation whenever the route
+// provably cannot win.
 func (a *Analysis) AdmissionDecision(dmax, eps []float64) (bool, []float64, error) {
 	n := len(a.Server.Sessions)
 	if len(dmax) != n || len(eps) != n {
@@ -308,11 +314,7 @@ func (a *Analysis) AdmissionDecision(dmax, eps []float64) (bool, []float64, erro
 			p = b.DelayTail(dmax[i])
 		}
 		if p > eps[i] {
-			if b := a.OrderingBound(i); b != nil {
-				if w := b.DelayTail(dmax[i]); w < p {
-					p = w
-				}
-			}
+			p = a.BestDelayTailFrom(i, dmax[i], p)
 		}
 		probs[i] = p
 		if p > eps[i] {

@@ -35,6 +35,11 @@ type SessionBounds struct {
 	// Fixed holds additional single-exponential backlog tails valid for
 	// this session (evaluated at q; the delay version divides by g).
 	Fixed []numeric.ExpTail
+
+	// floor lower-bounds log Λ(θ) over every θ from the family's Lemma 6
+	// terms (DESIGN §16). The Theorem 7/8 constructors set it; the zero
+	// value knows no floor.
+	floor lemma6Floor
 }
 
 // thetaGrid is the scan resolution used when optimizing over θ.
@@ -98,6 +103,40 @@ func (b *SessionBounds) BacklogTail(q float64) float64 {
 		return 1
 	}
 	return b.BestBacklogTail(q).Eval(q)
+}
+
+// cannotBeat reports, without evaluating the family, that BacklogTail(q)
+// is no lower than p, a probability in [0, 1]. Either p is 0, which no
+// clipped bound undercuts, or the Lemma 6 floor clears 2p at q. With
+// Λ(θ) >= e^S at every θ, and Λ finite only for θ in (0, ThetaMax), the
+// family's clipped bound is at least min(1, e^{S-ThetaMax·max(q,0)}); so
+// S >= ln(2p) + ThetaMax·max(q,0) puts it at or above p, with a factor-2
+// margin that swamps rounding (DESIGN §16). A NaN level or p is never
+// cleared.
+func (b *SessionBounds) cannotBeat(q, p float64) bool {
+	if p == 0 {
+		return true
+	}
+	if !(p <= 1) || math.IsNaN(q) {
+		return false
+	}
+	return b.floor.reaches(math.Log(2*p) + b.ThetaMax*math.Max(q, 0))
+}
+
+// minWith returns BacklogTail(q) when it is strictly below p, else p:
+// the best-of-routes min behind every Best* value and admission verdict,
+// with p the partition route's value and b the ordering route's family.
+// The family is evaluated only when cannotBeat fails; a skipped
+// evaluation could only have returned a value the strict < discards, so
+// the result is the unpruned min bit for bit.
+func (b *SessionBounds) minWith(p, q float64) float64 {
+	if b.cannotBeat(q, p) {
+		return p
+	}
+	if w := b.BacklogTail(q); w < p {
+		return w
+	}
+	return p
 }
 
 // DelayTail evaluates the best available bound on Pr{D_i(t) >= d}. Since

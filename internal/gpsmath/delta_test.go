@@ -343,7 +343,8 @@ func TestDeltaAnalyzerEdges(t *testing.T) {
 
 // FuzzDeltaAnalyzer interleaves admits and releases decoded from the
 // fuzz input and asserts bit-identity against fresh AnalyzeServer after
-// every op.
+// every op, and of every served Best* value against the unpruned
+// best-of-routes oracle.
 func FuzzDeltaAnalyzer(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x83, 0x10, 0xff, 0x07, 0x20, 0x91})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x80, 0x80, 0x80, 0x10, 0x10, 0x10, 0x10})
@@ -391,6 +392,7 @@ func FuzzDeltaAnalyzer(f *testing.F) {
 			compareStructure(t, "fuzz", an, fresh)
 			for i := range mirror {
 				compareBounds(t, "fuzz", an, fresh, i)
+				checkOracle(t, "fuzz", an, i, []float64{0.5, 4, 32}, []float64{0.5, 4, 32})
 			}
 		}
 	})

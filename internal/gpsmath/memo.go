@@ -65,6 +65,18 @@ func (t mgfTerm) eval(u float64, mode XiMode) float64 {
 	return math.Exp(u*(sh+t.rho*xi)) / (-math.Expm1(-u * t.eps * xi))
 }
 
+// logFloor returns ln K(ρ, ε), the floor of a single-flow term: at ξ0,
+// eval(u) = e^{u·σ̂(u)}·K with K = ((ρ+ε)/ρ)^{ρ/ε}·(ρ+ε)/ε >= 1, and ξ0
+// minimizes the Lemma 6 bound over ξ, so for an E.B.B. triple (σ̂ >= 0)
+// eval(u) >= K at every u in either XiMode (DESIGN §16). A term without
+// slack evaluates to +Inf, and so does its floor.
+func (t mgfTerm) logFloor() float64 {
+	if t.eps <= 0 {
+		return math.Inf(1)
+	}
+	return t.rho/t.eps*math.Log1p(t.eps/t.rho) + math.Log1p(t.rho/t.eps)
+}
+
 // orderingMemo caches everything the Theorem 7/8 constructors need about
 // one (ordering, rates) pair: suffix weight sums ("tail φ"), the prefix
 // minimum of the predecessors' decay rates, and the total weight behind
@@ -144,6 +156,42 @@ func (m *orderingMemo) termOf(j int) mgfTerm {
 	return singleTerm(arr, m.rates[j]-arr.Rho)
 }
 
+// lemma6Floor locates an ordering-route family's Lemma 6 terms: the
+// session at position pos of m's ordering and its predecessors, each
+// raised to the Hölder power p_j the prefactor applies — 1 for Theorem
+// 7 (inv 0), α_j·inv on the Theorem 8 auto-exponent path. It is a
+// three-word value inside SessionBounds, so the eager build's bound
+// arenas carry it without a per-session allocation. The zero value
+// (m nil) knows no floor; explicit Hölder exponents, a public-API
+// escape hatch no Analysis uses, get the zero value and always evaluate.
+type lemma6Floor struct {
+	m   *orderingMemo
+	pos int
+	inv float64
+}
+
+// reaches reports whether Σ ln K_j / p_j over the family's terms
+// reaches need. Every factor is at least K_j^{1/p_j}, so a sum that
+// reaches need proves log Λ(θ) >= need at every θ. The walk takes the
+// session's own term, then its predecessors nearest first, and stops as
+// soon as the sum clears: a few logarithms per call, however deep pos
+// is, whenever the floor is decisive.
+func (f *lemma6Floor) reaches(need float64) bool {
+	if f.m == nil {
+		return false
+	}
+	sum := 0.0
+	for idx := f.pos; idx >= 0 && !(sum >= need); idx-- {
+		j := f.m.ord[idx]
+		lk := f.m.termOf(j).logFloor()
+		if f.inv != 0 {
+			lk /= f.m.s.Sessions[j].Arrival.Alpha * f.inv
+		}
+		sum += lk
+	}
+	return sum >= need
+}
+
 // theorem7 is the memoized body of Server.Theorem7.
 func (m *orderingMemo) theorem7(pos int, mode XiMode) (*SessionBounds, error) {
 	sb := new(SessionBounds)
@@ -192,6 +240,7 @@ func (m *orderingMemo) theorem7Into(sb *SessionBounds, pos int, mode XiMode) err
 		Theorem:   "thm7",
 		ThetaMax:  thetaMax,
 		Prefactor: prefactor,
+		floor:     lemma6Floor{m: m, pos: pos},
 	}
 	return nil
 }
@@ -259,6 +308,7 @@ func (m *orderingMemo) theorem8Into(sb *SessionBounds, pos int, ps []float64, mo
 			Theorem:   "thm8",
 			ThetaMax:  thetaMax,
 			Prefactor: prefactor,
+			floor:     lemma6Floor{m: m, pos: pos, inv: inv},
 		}
 		return nil
 	}

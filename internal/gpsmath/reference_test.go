@@ -15,8 +15,10 @@ import (
 // keep the original per-session rescans, whose cost is O(N·L) (and
 // O(N²) for the Hölder exponent assembly) but whose arithmetic is the
 // ground truth. Differential tests at small N pin the fast paths to
-// them (see scaling_test.go). They are not exported and carry no
-// performance expectations.
+// them (see scaling_test.go). The unpruned best-of-routes min at the
+// end of the file plays the same role for the Lemma 6 floor
+// (floor_test.go). They are not exported and carry no performance
+// expectations.
 
 // feasiblePartitionReference is the original round-based recursion: every
 // round rescans all unplaced sessions against a fresh threshold.
@@ -260,4 +262,61 @@ func (m *partitionMemo) theorem12RefInto(sb *SessionBounds, i int, ps []float64,
 		Prefactor: prefactor,
 	}
 	return nil
+}
+
+// bestBacklogTailRef, bestDelayTailRef and admissionDecisionRef are the
+// best-of-routes min as it stood before the Lemma 6 floor: the ordering
+// route is evaluated at every point, whatever the partition route
+// returned. The pruned production path (SessionBounds.minWith) must
+// match them bit for bit.
+func (a *Analysis) bestBacklogTailRef(i int, q float64) float64 {
+	v := math.Inf(1)
+	if b := a.PartitionBound(i); b != nil {
+		v = b.BacklogTail(q)
+	}
+	if b := a.OrderingBound(i); b != nil {
+		if w := b.BacklogTail(q); w < v {
+			v = w
+		}
+	}
+	return v
+}
+
+func (a *Analysis) bestDelayTailRef(i int, d float64) float64 {
+	v := math.Inf(1)
+	if b := a.PartitionBound(i); b != nil {
+		v = b.DelayTail(d)
+	}
+	if b := a.OrderingBound(i); b != nil {
+		if w := b.DelayTail(d); w < v {
+			v = w
+		}
+	}
+	return v
+}
+
+func (a *Analysis) admissionDecisionRef(dmax, eps []float64) (bool, []float64) {
+	probs := make([]float64, len(dmax))
+	ok := true
+	for i := range dmax {
+		if math.IsInf(dmax[i], 1) {
+			continue
+		}
+		p := math.Inf(1)
+		if b := a.PartitionBound(i); b != nil {
+			p = b.DelayTail(dmax[i])
+		}
+		if p > eps[i] {
+			if b := a.OrderingBound(i); b != nil {
+				if w := b.DelayTail(dmax[i]); w < p {
+					p = w
+				}
+			}
+		}
+		probs[i] = p
+		if p > eps[i] {
+			ok = false
+		}
+	}
+	return ok, probs
 }

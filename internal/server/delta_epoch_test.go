@@ -232,3 +232,65 @@ func TestDeltaFallbackOnLargeBatch(t *testing.T) {
 	}
 	checkEpochAgainstDirect(t, d, ep)
 }
+
+// TestBoundsForSharedEvaluation pins BoundsFor's single evaluation at
+// the default points: the shared value must equal each of the three
+// separate Best* calls it replaces, and the unpruned best-of-routes min,
+// bit for bit. Explicit points — differing from the defaults or equal
+// to them — must match their own separate calls.
+func TestBoundsForSharedEvaluation(t *testing.T) {
+	for _, opts := range []*gpsmath.Options{
+		nil, // the daemon default: Theorem 7, ξ-optimal
+		{Independent: false, Xi: gpsmath.XiOne},
+	} {
+		d := newTestDaemon(t, Config{Rate: 12, MaxEpochAge: time.Hour, MaxBatch: 1 << 30, Opts: opts})
+		for k := 0; k < 24; k++ {
+			admitType(t, d, k)
+		}
+		ep := forceRebuild(t, d)
+		an := ep.Analysis
+		// unpruned is the min of the two routes with every route
+		// evaluated, as Best* computed it before the Lemma 6 floor.
+		unpruned := func(i int, x float64, delay bool) float64 {
+			pb, ob := an.PartitionBound(i), an.OrderingBound(i)
+			v, w := pb.BacklogTail(x), ob.BacklogTail(x)
+			if delay {
+				v, w = pb.DelayTail(x), ob.DelayTail(x)
+			}
+			if w < v {
+				return w
+			}
+			return v
+		}
+		same := func(id uint64, field string, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("session %d %s = %v (%x), want %v (%x)", id, field,
+					got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		for _, id := range ep.IDs {
+			i, _ := ep.IndexOf(id)
+			tg := ep.Targets[i]
+			g := an.PartitionBound(i).G
+			rep, ok := ep.BoundsFor(id, 0, 0)
+			if !ok {
+				t.Fatalf("session %d missing from its epoch", id)
+			}
+			qDef := g * tg.Delay
+			same(id, "AchievedEps", rep.AchievedEps, an.BestDelayTailValue(i, tg.Delay))
+			same(id, "BacklogProb", rep.BacklogProb, an.BestBacklogTailValue(i, qDef))
+			same(id, "DelayProb", rep.DelayProb, an.BestDelayTailValue(i, tg.Delay))
+			same(id, "AchievedEps (unpruned)", rep.AchievedEps, unpruned(i, tg.Delay, true))
+			same(id, "BacklogProb (unpruned)", rep.BacklogProb, unpruned(i, qDef, false))
+			for _, pt := range [][2]float64{{2, 30}, {qDef, tg.Delay}, {qDef / 3, tg.Delay}, {qDef, tg.Delay / 3}} {
+				rep, _ := ep.BoundsFor(id, pt[0], pt[1])
+				same(id, "explicit BacklogProb", rep.BacklogProb, an.BestBacklogTailValue(i, pt[0]))
+				same(id, "explicit DelayProb", rep.DelayProb, an.BestDelayTailValue(i, pt[1]))
+				same(id, "explicit AchievedEps", rep.AchievedEps, an.BestDelayTailValue(i, tg.Delay))
+				same(id, "explicit BacklogProb (unpruned)", rep.BacklogProb, unpruned(i, pt[0], false))
+				same(id, "explicit DelayProb (unpruned)", rep.DelayProb, unpruned(i, pt[1], true))
+			}
+		}
+	}
+}

@@ -341,7 +341,8 @@ const evalCacheMax = 8192
 // ψ/gEff geometry — so the per-type value is bit-identical to the
 // per-session one (the regression test pins this against
 // AdmissionDecision under churn). Only a type whose partition bound
-// misses its target pays a per-member ordering-route evaluation.
+// misses its target pays a per-member BestDelayTailFrom, which
+// evaluates the ordering route only where its floor cannot rule it out.
 func (d *Daemon) countTargets(ep *Epoch) {
 	an := ep.Analysis
 	if an == nil {
@@ -394,13 +395,7 @@ func (d *Daemon) countTargets(ep *Epoch) {
 			if !ok {
 				continue
 			}
-			best := p
-			if ob := an.OrderingBound(mi); ob != nil {
-				if w := ob.DelayTail(key.delay); w < best {
-					best = w
-				}
-			}
-			if best <= key.eps {
+			if an.BestDelayTailFrom(mi, key.delay, p) <= key.eps {
 				ep.TargetsMet++
 			}
 		}
@@ -526,6 +521,13 @@ type BoundsReport struct {
 // delay level dly (zero selects defaults: the declared target delay and
 // the backlog the guaranteed rate clears over it). The second return is
 // false when the id is not in this epoch.
+//
+// At the default points all three reported probabilities are one
+// quantity: DelayTail(d) is BacklogTail(G·d) on both routes, and both
+// routes' G are the same expression over the same server. So the
+// achieved bound is evaluated once and reused for every point that
+// coincides with it bit for bit; only an explicit point that differs
+// pays its own evaluation.
 func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 	i, ok := ep.IndexOf(id)
 	if !ok || ep.Analysis == nil {
@@ -543,6 +545,13 @@ func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 		q = b.G * dly
 	}
 	achieved := ep.Analysis.BestDelayTailValue(i, t.Delay)
+	delayProb, backlogProb := achieved, achieved
+	if math.Float64bits(dly) != math.Float64bits(t.Delay) {
+		delayProb = ep.Analysis.BestDelayTailValue(i, dly)
+	}
+	if math.Float64bits(q) != math.Float64bits(b.G*t.Delay) {
+		backlogProb = ep.Analysis.BestBacklogTailValue(i, q)
+	}
 	return BoundsReport{
 		ID:          id,
 		Name:        b.Name,
@@ -551,9 +560,9 @@ func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 		Rho:         b.Rho,
 		Theorem:     b.Theorem,
 		Q:           q,
-		BacklogProb: ep.Analysis.BestBacklogTailValue(i, q),
+		BacklogProb: backlogProb,
 		Delay:       dly,
-		DelayProb:   ep.Analysis.BestDelayTailValue(i, dly),
+		DelayProb:   delayProb,
 		TargetDelay: t.Delay,
 		TargetEps:   t.Eps,
 		AchievedEps: achieved,

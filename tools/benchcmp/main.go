@@ -26,7 +26,7 @@ import (
 
 // hotPaths are the benchmarks the performance contract covers: the
 // simulator inner loops, scheduler queues, the bound-analysis scaling
-// ladder, and the streaming/sharded harness. Benchmarks absent from the
+// ladder, the served bounds read, and the streaming/sharded harness. Benchmarks absent from the
 // older snapshot (newly added) are reported but cannot regress; a hot
 // path that disappears from the newer snapshot fails the gate.
 var hotPaths = []string{
@@ -50,6 +50,8 @@ var hotPaths = []string{
 	"AnalyzeScaling/sessions-1024",
 	"AnalyzeScaling/sessions-16384",
 	"AnalyzeScaling/sessions-131072",
+	"BoundsRead/sessions-10000",
+	"BoundsRead/sessions-131072",
 	"TreeSimSharded",
 	"TailInterleaved",
 }
