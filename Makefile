@@ -12,8 +12,12 @@ BENCHCOUNT ?= 3
 
 all: check
 
+# The nested bench module (bench/gpsdbench) compiles against the root
+# module's server, wal and replication packages; the root ./... never
+# reaches it, so vet it — which builds it and its tests — explicitly.
 vet:
 	$(GO) vet -tests ./...
+	$(GO) -C bench vet ./...
 
 build:
 	$(GO) build ./...

@@ -50,7 +50,9 @@
 // and GET /v1/route-bounds/{id}: admits walk the route's hops with a
 // two-phase prepare/commit and return end-to-end delay bounds composed
 // by the internal/network CRST recursion; any unreachable hop aborts
-// the admit and rolls the prepared hops back (fail closed).
+// the admit and rolls the prepared hops back (fail closed). With
+// -coord-wal-dir it journals every committed admit, and ships, audits
+// and reports that journal on /metrics exactly as a hop does its WAL.
 package main
 
 import (
@@ -59,6 +61,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -72,6 +75,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
+	"repro/internal/prom"
 	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/wal"
@@ -185,13 +189,6 @@ func walOptions(cfg config, plan *faults.CrashPlan) (wal.Options, error) {
 	return opts, nil
 }
 
-// primaryNode is one booted serving node: the sharded admission
-// service plus, when it runs on a WAL, its shipping companion.
-type primaryNode struct {
-	svc *server.Sharded
-	log *journal
-}
-
 // journal is a primary's open WAL — one stripe per writer, each with
 // its Merkle audit trail — and the replication source shipping it
 // while holding every stripe's prune watermark. A hop and the
@@ -257,14 +254,6 @@ func openJournal(cfg config, dir string, n int, plan *faults.CrashPlan) (*journa
 	return j, nil
 }
 
-// mount serves the replication endpoints next to h.
-func (j *journal) mount(h http.Handler) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.Handle("/", h)
-	j.src.Mount(mux)
-	return mux
-}
-
 // close stops the watermark hold and closes the audit trails; the logs
 // themselves belong to their writers, which snapshot and close them on
 // drain.
@@ -293,25 +282,68 @@ func (j *journal) discard() {
 	}
 }
 
+// role is one way a gpsd process serves — hop primary, standby, or
+// coordinator: its serving surface, the metric writers concatenated
+// onto its GET /metrics, and the drain that runs once the listener has
+// shut down.
+type role struct {
+	mux     *http.ServeMux
+	metrics []func(io.Writer)
+	close   func(context.Context) error
+}
+
+// newRole serves api under a mux whose GET /metrics runs every metric
+// writer of the role in order, starting with metrics.
+func newRole(api http.Handler, metrics func(io.Writer), close func(context.Context) error) *role {
+	r := &role{mux: http.NewServeMux(), metrics: []func(io.Writer){metrics}, close: close}
+	r.mux.Handle("/", api)
+	r.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", prom.ContentType)
+		for _, write := range r.metrics {
+			write(w)
+		}
+	})
+	return r
+}
+
+// attach serves the journal's replication endpoints and source metrics
+// next to r's own, and closes the journal after r's drain. A nil
+// journal (no -wal-dir, a stateless coordinator) attaches nothing.
+func (j *journal) attach(r *role) {
+	if j == nil {
+		return
+	}
+	j.src.Mount(r.mux)
+	r.metrics = append(r.metrics, j.src.WriteMetrics)
+	drain := r.close
+	r.close = func(ctx context.Context) error {
+		err := drain(ctx)
+		if jerr := j.close(); err == nil && jerr != nil {
+			err = fmt.Errorf("closing audit trail: %w", jerr)
+		}
+		return err
+	}
+}
+
 // bootPrimary opens the hop's WAL stripes, audit trails and shipping,
-// and starts the sharded admission service over them. The same
-// path serves every shard count, first boot, restart-after-crash, and
-// promote-from-standby — which is what makes a promoted epoch
-// bit-identical to a recovered one.
-func bootPrimary(cfg config, plan *faults.CrashPlan) (*primaryNode, error) {
+// starts the sharded admission service over them, and returns it with
+// the hop role serving it. The same path serves every shard count,
+// first boot, restart-after-crash, and promote-from-standby — which is
+// what makes a promoted epoch bit-identical to a recovered one.
+func bootPrimary(cfg config, plan *faults.CrashPlan) (*server.Sharded, *role, error) {
 	if cfg.walDir != "" {
 		// A coordinator journal holds route records no hop daemon can
 		// replay; refuse it with a pointer at the right invocation
 		// (promoting a coordinator standby's mirror lands here too).
 		if isCoord, err := wal.IsCoordDir(cfg.walDir); err != nil {
-			return nil, err
+			return nil, nil, err
 		} else if isCoord {
-			return nil, fmt.Errorf("%s holds a coordinator journal; boot it with -topology ... -coord-wal-dir %s", cfg.walDir, cfg.walDir)
+			return nil, nil, fmt.Errorf("%s holds a coordinator journal; boot it with -topology ... -coord-wal-dir %s", cfg.walDir, cfg.walDir)
 		}
 	}
 	shards, err := shardCount(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	scfg := server.Config{
 		Rate:          cfg.rate,
@@ -326,67 +358,44 @@ func bootPrimary(cfg config, plan *faults.CrashPlan) (*primaryNode, error) {
 		// addition to the WAL-boundary ones the log options carry.
 		scfg.Crash = plan
 	}
-	n := &primaryNode{}
 	var (
+		jl     *journal
 		alogs  []server.AdmissionLog
 		recs   []*wal.Recovered
 		asinks []server.AuditSink
 	)
 	if cfg.walDir != "" {
-		if n.log, err = openJournal(cfg, cfg.walDir, shards, plan); err != nil {
-			return nil, err
+		if jl, err = openJournal(cfg, cfg.walDir, shards, plan); err != nil {
+			return nil, nil, err
 		}
-		recs = n.log.recs
-		for i := range n.log.logs {
-			alogs = append(alogs, n.log.logs[i])
-			asinks = append(asinks, n.log.audits[i])
+		recs = jl.recs
+		for i := range jl.logs {
+			alogs = append(alogs, jl.logs[i])
+			asinks = append(asinks, jl.audits[i])
 		}
 	}
-	if n.svc, err = server.NewSharded(scfg, shards, alogs, recs, asinks); err != nil {
-		if n.log != nil {
-			n.log.discard()
+	svc, err := server.NewSharded(scfg, shards, alogs, recs, asinks)
+	if err != nil {
+		if jl != nil {
+			jl.discard()
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return n, nil
-}
-
-// handler composes the serving surface: admission endpoints,
-// replication source, and a /metrics that concatenates both metric
-// sets.
-func (n *primaryNode) handler() http.Handler {
-	base := server.NewHandler(n.svc)
-	if n.log == nil {
-		return base
-	}
-	mux := n.log.mount(base)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		n.svc.WriteMetrics(w)
-		n.log.src.WriteMetrics(w)
+	hv := svc.Health()
+	log.Printf("gpsd: hop at rate %g, %d shard(s), queue %d, epoch age %v, %d recovered sessions",
+		cfg.rate, hv.Shards, cfg.queue, cfg.epochAge, hv.Sessions)
+	r := newRole(server.NewHandler(svc), svc.WriteMetrics, func(ctx context.Context) error {
+		// Each writer snapshots and closes the WAL stripe it owns.
+		if err := svc.Close(ctx); err != nil {
+			return fmt.Errorf("daemon drain: %w", err)
+		}
+		hv := svc.Health()
+		log.Printf("gpsd: drained at epoch %d with %d sessions across %d shard(s)",
+			hv.EpochSeq, hv.Sessions, hv.Shards)
+		return nil
 	})
-	return mux
-}
-
-// close drains the service (each writer snapshots and closes the WAL
-// stripe it owns) and stops the companions.
-func (n *primaryNode) close(ctx context.Context) error {
-	err := n.svc.Close(ctx)
-	if n.log != nil {
-		if jerr := n.log.close(); err == nil {
-			err = jerr
-		}
-	}
-	return err
-}
-
-// swapHandler atomically replaces the entire serving surface — the
-// standby→primary transition is one pointer store.
-type swapHandler struct{ h atomic.Pointer[http.Handler] }
-
-func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
-func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	(*s.h.Load()).ServeHTTP(w, r)
+	jl.attach(r)
+	return svc, r, nil
 }
 
 // openCoordJournal adopts (or creates) the coordinator's route
@@ -413,25 +422,22 @@ func openCoordJournal(cfg config, plan *faults.CrashPlan) (*journal, error) {
 	return openJournal(cfg, dir, 1, plan)
 }
 
-// runCoordinator is the -topology mode: the control plane that admits
+// coordinatorRole is the -topology mode: the control plane that admits
 // sessions over routes through the configured hop daemons with the
 // two-phase protocol, composing per-hop CRST bounds into end-to-end
 // guarantees. With -coord-wal-dir it journals every committed admit
 // and release, so a restart re-serves its previous life's sessions
-// bit-identically and reconciles against the hops; without it the
-// coordinator is stateless and prepares orphaned by its death expire
-// on the hops' TTL clocks.
-func runCoordinator(cfg config) error {
+// bit-identically and reconciles against the hops, and it ships,
+// audits and reports the journal exactly as a hop does its WAL;
+// without it the coordinator is stateless and prepares orphaned by its
+// death expire on the hops' TTL clocks.
+func coordinatorRole(cfg config, plan *faults.CrashPlan) (*role, error) {
 	if cfg.follow != "" || cfg.walDir != "" {
-		return errors.New("-topology runs a coordinator; -follow and -wal-dir apply to hop daemons (the coordinator's journal is -coord-wal-dir)")
+		return nil, errors.New("-topology runs a coordinator; -follow and -wal-dir apply to hop daemons (the coordinator's journal is -coord-wal-dir)")
 	}
 	topo, err := cluster.LoadTopology(cfg.topology)
 	if err != nil {
-		return err
-	}
-	plan, err := cfg.crashPlan()
-	if err != nil {
-		return err
+		return nil, err
 	}
 	ccfg := cluster.Config{
 		Topology:   topo,
@@ -444,7 +450,7 @@ func runCoordinator(cfg config) error {
 	var jl *journal
 	if cfg.coordWALDir != "" {
 		if jl, err = openCoordJournal(cfg, plan); err != nil {
-			return err
+			return nil, err
 		}
 		ccfg.Log = jl.logs[0]
 		ccfg.Recovered = jl.recs[0]
@@ -455,165 +461,162 @@ func runCoordinator(cfg config) error {
 		if jl != nil {
 			jl.discard()
 		}
-		return err
+		return nil, err
 	}
-	var handler http.Handler = cluster.NewHandler(coord)
-	if jl != nil {
-		m := coord.Metrics()
-		log.Printf("gpsd: coordinator recovered %d session(s) (%d dropped by reconcile, %d orphaned hop sessions released)",
-			coord.Sessions(), m.ReconcileDrops.Load(), m.OrphanReleases.Load())
-		handler = jl.mount(handler)
-	}
+	m := coord.Metrics()
+	log.Printf("gpsd: coordinator over %d hop(s) from %s (prepare TTL %v, hop timeout %v): %d session(s) recovered (%d dropped by reconcile, %d orphaned hop sessions released)",
+		len(topo.Nodes), cfg.topology, cfg.prepareTTL, cfg.hopTimeout,
+		coord.Sessions(), m.ReconcileDrops.Load(), m.OrphanReleases.Load())
+	r := newRole(cluster.NewHandler(coord), coord.WriteMetrics, func(context.Context) error {
+		if err := coord.Close(); err != nil {
+			return fmt.Errorf("closing journal: %w", err)
+		}
+		log.Printf("gpsd: coordinator stopped with %d committed sessions", coord.Sessions())
+		return nil
+	})
+	jl.attach(r)
+	return r, nil
+}
 
-	ln, err := net.Listen("tcp", cfg.addr)
+// standbyRole is the -follow mode: a warm standby mirroring the
+// primary's WAL into -wal-dir. It answers /healthz and its replication
+// metrics, refuses admission traffic, and on POST /v1/promote fences
+// replication, boots the hop role from the mirror, and swaps that
+// role's whole serving surface into sw.
+func standbyRole(cfg config, plan *faults.CrashPlan, sw *swapHandler) (*role, error) {
+	if cfg.walDir == "" {
+		return nil, errors.New("-follow requires -wal-dir (the mirror directory)")
+	}
+	id := cfg.followerID
+	if id == "" {
+		host, _ := os.Hostname()
+		id = fmt.Sprintf("%s:%d", host, os.Getpid())
+	}
+	fol, err := replication.NewFollower(replication.FollowerOptions{
+		ID:         id,
+		PrimaryURL: cfg.follow,
+		Dir:        cfg.walDir,
+		Interval:   cfg.pullInterval,
+		Crash:      plan,
+	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	bound := ln.Addr().String()
-	if cfg.addrFile != "" {
-		if err := os.WriteFile(cfg.addrFile, []byte(bound), 0o644); err != nil {
-			return fmt.Errorf("writing addr file: %w", err)
-		}
+	folCtx, folCancel := context.WithCancel(context.Background())
+	folDone := make(chan error, 1)
+	go func() { folDone <- fol.Run(folCtx) }()
+	// The done channel is one-shot; a retried promote after a failed
+	// one (or shutdown after it) must not block on a second drain, so
+	// the cancel+wait pair latches in a Once.
+	var folStopOnce sync.Once
+	folStop := func() {
+		folStopOnce.Do(func() {
+			folCancel()
+			<-folDone
+		})
 	}
-	log.Printf("gpsd: coordinator listening on %s over %d hop(s) from %s (prepare TTL %v, hop timeout %v)",
-		bound, len(topo.Nodes), cfg.topology, cfg.prepareTTL, cfg.hopTimeout)
+	log.Printf("gpsd: standby %s mirroring %s into %s", id, cfg.follow, cfg.walDir)
 
-	srv := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		log.Printf("gpsd: coordinator: %v, shutting down", s)
-	case err := <-errc:
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	if err := coord.Close(); err != nil {
-		return fmt.Errorf("closing journal: %w", err)
-	}
-	if jl != nil {
-		if err := jl.close(); err != nil {
-			return fmt.Errorf("closing audit trail: %w", err)
+	var (
+		promoteMu sync.Mutex
+		promoted  *role
+	)
+	promote := func(w http.ResponseWriter, r *http.Request) {
+		promoteMu.Lock()
+		defer promoteMu.Unlock()
+		if promoted != nil {
+			writeJSONStatus(w, http.StatusConflict, map[string]any{"error": "already promoted"})
+			return
 		}
+		// Stop the pull loop before fencing so Promote's final drain is
+		// the only pull in flight.
+		folStop()
+		res, perr := fol.Promote(r.Context())
+		if errors.Is(perr, replication.ErrPromoted) {
+			// An earlier promote fenced the follower but failed to boot
+			// the daemon (promoted is still nil under promoteMu): retry
+			// just the boot from the already-sealed mirror.
+			res, perr = replication.PromoteResult{AckSeq: fol.AckSeq()}, nil
+		}
+		if perr != nil {
+			status := http.StatusServiceUnavailable
+			if errors.Is(perr, replication.ErrDiverged) {
+				status = http.StatusConflict
+			}
+			writeJSONStatus(w, status, map[string]any{"error": perr.Error()})
+			return
+		}
+		boot := cfg
+		boot.crashpoint = "" // the plan already fired or is follower-scoped
+		svc, node, berr := bootPrimary(boot, nil)
+		if berr != nil {
+			writeJSONStatus(w, http.StatusInternalServerError, map[string]any{"error": berr.Error()})
+			return
+		}
+		promoted = node
+		sw.set(node.mux)
+		hv := svc.Health()
+		log.Printf("gpsd: promoted at verified seq %d (drained=%v): epoch %d with %d sessions",
+			res.AckSeq, res.Drained, hv.EpochSeq, hv.Sessions)
+		writeJSONStatus(w, http.StatusOK, map[string]any{
+			"promoted": true,
+			"ack_seq":  res.AckSeq,
+			"drained":  res.Drained,
+			"sessions": hv.Sessions,
+		})
 	}
-	log.Printf("gpsd: coordinator stopped with %d committed sessions", coord.Sessions())
-	return nil
+	return newRole(standbyAPI(fol, promote), fol.WriteMetrics, func(ctx context.Context) error {
+		// Stop pulling whether or not a promote (failed or not) already
+		// did; folStop is idempotent. An unpromoted mirror stays on disk
+		// for the next boot.
+		folStop()
+		promoteMu.Lock()
+		node := promoted
+		promoteMu.Unlock()
+		if node == nil {
+			log.Printf("gpsd: standby stopped at verified seq %d", fol.AckSeq())
+			return nil
+		}
+		return node.close(ctx)
+	}), nil
+}
+
+// swapHandler atomically replaces the entire serving surface — the
+// standby→primary transition is one pointer store.
+type swapHandler struct{ h atomic.Pointer[http.Handler] }
+
+func (s *swapHandler) set(h http.Handler) { s.h.Store(&h) }
+func (s *swapHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	(*s.h.Load()).ServeHTTP(w, r)
 }
 
 func run(cfg config) error {
-	if cfg.topology != "" {
-		return runCoordinator(cfg)
-	}
 	plan, err := cfg.crashPlan()
 	if err != nil {
 		return err
 	}
-
 	sw := &swapHandler{}
-	var node *primaryNode
-
-	// follower-mode state
-	var (
-		fol       *replication.Follower
-		folStop   func() // idempotent: cancel the pull loop and await its exit
-		promoteMu sync.Mutex
-	)
-
-	if cfg.follow == "" {
-		node, err = bootPrimary(cfg, plan)
-		if err != nil {
-			return err
-		}
-		sw.set(node.handler())
-	} else {
-		if cfg.walDir == "" {
-			return errors.New("-follow requires -wal-dir (the mirror directory)")
-		}
-		id := cfg.followerID
-		if id == "" {
-			host, _ := os.Hostname()
-			id = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		fol, err = replication.NewFollower(replication.FollowerOptions{
-			ID:         id,
-			PrimaryURL: cfg.follow,
-			Dir:        cfg.walDir,
-			Interval:   cfg.pullInterval,
-			Crash:      plan,
-		})
-		if err != nil {
-			return err
-		}
-		folCtx, folCancel := context.WithCancel(context.Background())
-		folDone := make(chan error, 1)
-		go func() { folDone <- fol.Run(folCtx) }()
-		// The done channel is one-shot; a retried promote after a failed
-		// one (or shutdown after it) must not block on a second drain,
-		// so the cancel+wait pair latches in a Once.
-		var folStopOnce sync.Once
-		folStop = func() {
-			folStopOnce.Do(func() {
-				folCancel()
-				<-folDone
-			})
-		}
-		log.Printf("gpsd: standby %s mirroring %s into %s", id, cfg.follow, cfg.walDir)
-		sw.set(standbyHandler(fol, func(w http.ResponseWriter, r *http.Request) {
-			promoteMu.Lock()
-			defer promoteMu.Unlock()
-			if node != nil {
-				writeJSONStatus(w, http.StatusConflict, map[string]any{"error": "already promoted"})
-				return
-			}
-			// Stop the pull loop before fencing so Promote's final drain
-			// is the only pull in flight.
-			folStop()
-			res, perr := fol.Promote(r.Context())
-			if errors.Is(perr, replication.ErrPromoted) {
-				// An earlier promote fenced the follower but failed to
-				// boot the daemon (node is still nil under promoteMu):
-				// retry just the boot from the already-sealed mirror.
-				res, perr = replication.PromoteResult{AckSeq: fol.AckSeq()}, nil
-			}
-			if perr != nil {
-				status := http.StatusServiceUnavailable
-				if errors.Is(perr, replication.ErrDiverged) {
-					status = http.StatusConflict
-				}
-				writeJSONStatus(w, status, map[string]any{"error": perr.Error()})
-				return
-			}
-			boot := cfg
-			boot.crashpoint = "" // the plan already fired or is follower-scoped
-			n2, berr := bootPrimary(boot, nil)
-			if berr != nil {
-				writeJSONStatus(w, http.StatusInternalServerError, map[string]any{"error": berr.Error()})
-				return
-			}
-			node = n2
-			sw.set(node.handler())
-			hv := node.svc.Health()
-			log.Printf("gpsd: promoted at verified seq %d (drained=%v): epoch %d with %d sessions",
-				res.AckSeq, res.Drained, hv.EpochSeq, hv.Sessions)
-			writeJSONStatus(w, http.StatusOK, map[string]any{
-				"promoted": true,
-				"ack_seq":  res.AckSeq,
-				"drained":  res.Drained,
-				"sessions": hv.Sessions,
-			})
-		}))
+	var r *role
+	switch {
+	case cfg.topology != "":
+		r, err = coordinatorRole(cfg, plan)
+	case cfg.follow != "":
+		r, err = standbyRole(cfg, plan, sw)
+	default:
+		_, r, err = bootPrimary(cfg, plan)
 	}
+	if err != nil {
+		return err
+	}
+	sw.set(r.mux)
+	return serve(cfg, sw, r.close)
+}
 
+// serve listens on cfg.addr, writes the bound address to cfg.addrFile,
+// and serves h until SIGINT or SIGTERM; it then stops the listener,
+// letting in-flight requests finish within the drain timeout, and runs
+// drain.
+func serve(cfg config, h http.Handler, drain func(context.Context) error) error {
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
@@ -624,15 +627,9 @@ func run(cfg config) error {
 			return fmt.Errorf("writing addr file: %w", err)
 		}
 	}
-	if node != nil {
-		hv := node.svc.Health()
-		log.Printf("gpsd: listening on %s (rate %g, %d shard(s), queue %d, epoch age %v, %d recovered sessions)",
-			bound, cfg.rate, hv.Shards, cfg.queue, cfg.epochAge, hv.Sessions)
-	} else {
-		log.Printf("gpsd: standby listening on %s", bound)
-	}
+	log.Printf("gpsd: listening on %s", bound)
 
-	srv := &http.Server{Handler: sw}
+	srv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -644,7 +641,6 @@ func run(cfg config) error {
 	case err := <-errc:
 		return err
 	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -653,33 +649,13 @@ func run(cfg config) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	promoteMu.Lock()
-	n := node
-	promoteMu.Unlock()
-	if fol != nil {
-		// Stop pulling whether or not a promote (failed or not) already
-		// did; folStop is idempotent. An unpromoted mirror stays on disk
-		// for the next boot.
-		folStop()
-		if n == nil {
-			log.Printf("gpsd: standby stopped at verified seq %d", fol.AckSeq())
-			return nil
-		}
-	}
-	// Daemon drain snapshots and closes the WAL it owns.
-	if err := n.close(ctx); err != nil {
-		return fmt.Errorf("daemon drain: %w", err)
-	}
-	hv := n.svc.Health()
-	log.Printf("gpsd: drained at epoch %d with %d sessions across %d shard(s)",
-		hv.EpochSeq, hv.Sessions, hv.Shards)
-	return nil
+	return drain(ctx)
 }
 
-// standbyHandler is the pre-promotion surface: health and lag are
+// standbyAPI is the pre-promotion surface: health and lag are
 // observable, admission traffic is refused with 503 (the standby must
 // not decide), and POST /v1/promote runs the handed-in transition.
-func standbyHandler(f *replication.Follower, promote http.HandlerFunc) http.Handler {
+func standbyAPI(f *replication.Follower, promote http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		segs, secs := f.Lag()
@@ -696,10 +672,6 @@ func standbyHandler(f *replication.Follower, promote http.HandlerFunc) http.Hand
 			status = http.StatusConflict
 		}
 		writeJSONStatus(w, status, body)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		f.WriteMetrics(w)
 	})
 	mux.HandleFunc("POST /v1/promote", promote)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -60,7 +60,8 @@ func RequiredRate(p ebb.Process, t Target) (float64, error) {
 	f := func(g float64) float64 { return math.Log(value(g)) - math.Log(t.Eps) }
 	lo := p.Rho
 	hi, err := numeric.BracketUp(f, lo, math.Max(p.Rho/4, 1e-3))
-	if err != nil {
+	if err != nil || math.IsInf(hi, 1) {
+		// A ρ near the float64 ceiling brackets only at +Inf.
 		return 0, fmt.Errorf("admission: no finite rate meets %+v for %v", t, p)
 	}
 	g, err := numeric.Bisect(f, lo+1e-12, hi, 1e-12*math.Max(1, hi))

@@ -72,6 +72,9 @@ func TestRequiredRateValidation(t *testing.T) {
 	if _, err := RequiredRate(testProc, Target{Delay: 0, Eps: 0.1}); err == nil {
 		t.Error("invalid target: want error")
 	}
+	if g, err := RequiredRate(ebb.Process{Rho: 1.7e308, Alpha: 1}, Target{Delay: 1, Eps: 0.1}); err == nil {
+		t.Errorf("rate beyond float64: got %v, want error", g)
+	}
 }
 
 func TestRequiredRateMarkovSharper(t *testing.T) {

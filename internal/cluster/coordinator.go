@@ -17,6 +17,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/ebb"
 	"repro/internal/network"
+	"repro/internal/prom"
 	"repro/internal/wal"
 )
 
@@ -158,6 +159,20 @@ func New(cfg Config) (*Coordinator, error) {
 
 // Metrics exposes the counter block.
 func (c *Coordinator) Metrics() *Metrics { return &c.met }
+
+// WriteMetrics renders the coordinator's counters and committed-session
+// gauge in Prometheus text format.
+func (c *Coordinator) WriteMetrics(w io.Writer) {
+	m := &c.met
+	prom.Counter(w, "gpsd_coord_admits_total", "sessions committed end to end", float64(m.Admits.Load()))
+	prom.Counter(w, "gpsd_coord_rejects_total", "admits refused by analysis or a hop's headroom", float64(m.Rejects.Load()))
+	prom.Counter(w, "gpsd_coord_partition_aborts_total", "admits aborted by an unreachable hop", float64(m.PartitionAborts.Load()))
+	prom.Counter(w, "gpsd_coord_releases_total", "sessions released end to end", float64(m.Releases.Load()))
+	prom.Counter(w, "gpsd_coord_commit_retries_total", "hop commits re-sent after a lost reply", float64(m.CommitRetries.Load()))
+	prom.Counter(w, "gpsd_coord_reconcile_drops_total", "journaled admits dropped at recovery because their hop sessions were gone", float64(m.ReconcileDrops.Load()))
+	prom.Counter(w, "gpsd_coord_orphan_releases_total", "unjournaled hop sessions released at recovery", float64(m.OrphanReleases.Load()))
+	prom.Gauge(w, "gpsd_coord_sessions", "committed end-to-end sessions", float64(c.Sessions()))
+}
 
 // Sessions returns the number of committed end-to-end sessions.
 func (c *Coordinator) Sessions() int {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/ebb"
+	"repro/internal/prom"
 )
 
 // maxBody bounds coordinator request bodies, matching the hop daemons'
@@ -231,14 +232,6 @@ func (h *coordHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *coordHandler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := h.c.Metrics()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	fmt.Fprintf(w, "# TYPE gpsd_coord_admits_total counter\ngpsd_coord_admits_total %d\n", m.Admits.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_rejects_total counter\ngpsd_coord_rejects_total %d\n", m.Rejects.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_partition_aborts_total counter\ngpsd_coord_partition_aborts_total %d\n", m.PartitionAborts.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_releases_total counter\ngpsd_coord_releases_total %d\n", m.Releases.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_commit_retries_total counter\ngpsd_coord_commit_retries_total %d\n", m.CommitRetries.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_reconcile_drops_total counter\ngpsd_coord_reconcile_drops_total %d\n", m.ReconcileDrops.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_orphan_releases_total counter\ngpsd_coord_orphan_releases_total %d\n", m.OrphanReleases.Load())
-	fmt.Fprintf(w, "# TYPE gpsd_coord_sessions gauge\ngpsd_coord_sessions %d\n", h.c.Sessions())
+	w.Header().Set("Content-Type", prom.ContentType)
+	h.c.WriteMetrics(w)
 }

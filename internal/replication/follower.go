@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/prom"
 	"repro/internal/wal"
 )
 
@@ -683,23 +684,23 @@ func (f *Follower) WriteMetrics(w io.Writer) {
 	segs, secs := f.lagLocked()
 	ack := f.ackSeq
 	head := f.lastHead
-	div := int64(0)
+	div := 0.0
 	if f.diverged != nil {
 		div = 1
 	}
-	promoted := int64(0)
+	promoted := 0.0
 	if f.promoted {
 		promoted = 1
 	}
 	f.mu.Unlock()
-	writeGauge(w, "gpsd_repl_segments_behind", "whole primary WAL segments not yet verified locally", int64(segs))
-	writeGaugeF(w, "gpsd_repl_seconds_behind", "seconds since this follower last matched a primary head", secs)
-	writeGauge(w, "gpsd_repl_ack_seq", "highest frame-verified op sequence", int64(ack))
-	writeGauge(w, "gpsd_repl_primary_head_seq", "primary head sequence at last manifest", int64(head))
-	writeGauge(w, "gpsd_repl_diverged", "1 when the follower has failed closed on divergence", div)
-	writeGauge(w, "gpsd_repl_promoted", "1 after this node was promoted to primary", promoted)
-	writeCounter(w, "gpsd_repl_pulls_total", "successful replication passes", f.pulls.Load())
-	writeCounter(w, "gpsd_repl_pull_errors_total", "failed replication passes", f.pullErrors.Load())
-	writeCounter(w, "gpsd_repl_received_bytes_total", "file bytes received from the primary", f.bytesIn.Load())
-	writeCounter(w, "gpsd_repl_acks_sent_total", "acks sent to the primary", f.acksSent.Load())
+	prom.Gauge(w, "gpsd_repl_segments_behind", "whole primary WAL segments not yet verified locally", float64(segs))
+	prom.Gauge(w, "gpsd_repl_seconds_behind", "seconds since this follower last matched a primary head", secs)
+	prom.Gauge(w, "gpsd_repl_ack_seq", "highest frame-verified op sequence", float64(ack))
+	prom.Gauge(w, "gpsd_repl_primary_head_seq", "primary head sequence at last manifest", float64(head))
+	prom.Gauge(w, "gpsd_repl_diverged", "1 when the follower has failed closed on divergence", div)
+	prom.Gauge(w, "gpsd_repl_promoted", "1 after this node was promoted to primary", promoted)
+	prom.Counter(w, "gpsd_repl_pulls_total", "successful replication passes", float64(f.pulls.Load()))
+	prom.Counter(w, "gpsd_repl_pull_errors_total", "failed replication passes", float64(f.pullErrors.Load()))
+	prom.Counter(w, "gpsd_repl_received_bytes_total", "file bytes received from the primary", float64(f.bytesIn.Load()))
+	prom.Counter(w, "gpsd_repl_acks_sent_total", "acks sent to the primary", float64(f.acksSent.Load()))
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/prom"
 	"repro/internal/wal"
 )
 
@@ -416,27 +417,30 @@ func (s *Source) handleAck(w http.ResponseWriter, r *http.Request) {
 // WriteMetrics renders the primary-side replication metrics.
 func (s *Source) WriteMetrics(w io.Writer) {
 	if s.Audits != nil {
-		fatal := int64(0)
+		fatal := 0.0
 		for _, a := range s.Audits {
 			if a.Err() != nil {
 				fatal = 1
 			}
 		}
-		writeGauge(w, "gpsd_audit_fatal", "1 when any stripe's audit sink latched a fatal error and froze its trail (that stripe's prune watermark held)", fatal)
+		prom.Gauge(w, "gpsd_audit_fatal", "1 when any stripe's audit sink latched a fatal error and froze its trail (that stripe's prune watermark held)", fatal)
 	}
 	acks := s.Acks()
-	writeCounter(w, "gpsd_repl_fetches_total", "replication fetch requests served", s.fetches.Load())
-	writeCounter(w, "gpsd_repl_shipped_bytes_total", "file bytes shipped to followers", s.bytesShipped.Load())
-	writeCounter(w, "gpsd_repl_acks_total", "follower acks received", s.acksTotal.Load())
-	writeGauge(w, "gpsd_repl_followers", "followers that have acked at least once", int64(len(acks)))
+	prom.Counter(w, "gpsd_repl_fetches_total", "replication fetch requests served", float64(s.fetches.Load()))
+	prom.Counter(w, "gpsd_repl_shipped_bytes_total", "file bytes shipped to followers", float64(s.bytesShipped.Load()))
+	prom.Counter(w, "gpsd_repl_acks_total", "follower acks received", float64(s.acksTotal.Load()))
+	prom.Gauge(w, "gpsd_repl_followers", "followers that have acked at least once", float64(len(acks)))
 	if len(acks) > 0 {
 		lowest := uint64(math.MaxUint64)
 		for _, seq := range acks {
 			lowest = min(lowest, seq)
 		}
-		writeGauge(w, "gpsd_repl_min_acked_seq", "lowest follower-acked op sequence", int64(lowest))
+		prom.Gauge(w, "gpsd_repl_min_acked_seq", "lowest follower-acked op sequence", float64(lowest))
 	}
 }
+
+func isSeg(name string) bool  { return wal.IsSegmentName(name) }
+func isSnap(name string) bool { return wal.IsSnapshotName(name) }
 
 // IsShippableSegment reports whether name is a WAL segment file.
 func IsShippableSegment(name string) bool { return filepath.Base(name) == name && isSeg(name) }

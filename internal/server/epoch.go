@@ -146,6 +146,11 @@ func (d *Daemon) rebuild() {
 	d.dirty = false
 }
 
+// deltaMaxFraction caps a delta batch as a fraction of the session
+// count, so small populations do not replay op-by-op what one small
+// rebuild would cover (floor of 8 ops either way).
+const deltaMaxFraction = 0.25
+
 // deltaEligible decides whether the pending op batch is small enough
 // for replay through the incremental analyzer: each replayed op costs
 // O(N) lean float passes, so past a fraction of the population a single
@@ -154,7 +159,7 @@ func (d *Daemon) deltaEligible() bool {
 	if d.delta == nil || len(d.pending) == 0 {
 		return false
 	}
-	lim := int(d.cfg.DeltaMaxFraction*float64(len(d.order))) + 1
+	lim := int(deltaMaxFraction*float64(len(d.order))) + 1
 	if lim < 8 {
 		lim = 8
 	}

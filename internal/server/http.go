@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/ebb"
+	"repro/internal/prom"
 )
 
 // maxAdmitBody bounds the /v1/admit request body; a well-formed request
@@ -451,6 +452,6 @@ func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
+	w.Header().Set("Content-Type", prom.ContentType)
 	h.svc.WriteMetrics(w)
 }

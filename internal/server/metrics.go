@@ -1,20 +1,22 @@
 package server
 
 import (
-	"fmt"
 	"io"
-	"sync"
+	"strconv"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/ledger"
+	"repro/internal/prom"
 )
 
 // Metrics is the daemon's observability surface: lock-free atomic
 // counters on the decision and HTTP paths (the monitor.FaultCounters
 // discipline — one shared instance fed from many goroutines without
-// serializing them) plus P² streaming quantile estimators for handler
-// latency, rendered in Prometheus text format by WriteMetrics.
+// serializing them) plus P² latency summaries, rendered in Prometheus
+// text format by WriteMetrics. Every counter is also declared in the
+// counters table, which drives both the sum across writers and the
+// render.
 type Metrics struct {
 	Admits          atomic.Int64 // accepted admission decisions
 	Rejects         atomic.Int64 // rejected admission decisions
@@ -52,90 +54,95 @@ type Metrics struct {
 	WALSnapshotFailures atomic.Int64 // WAL snapshots that failed (log keeps replaying)
 	WALRecoveredOps     atomic.Int64 // log-suffix ops replayed at boot
 
-	resp2xx atomic.Int64
-	resp4xx atomic.Int64
-	resp5xx atomic.Int64
+	resp2xx, resp4xx, resp5xx atomic.Int64
 
-	// mu guards the P² estimators and observed together: the count and
-	// the quantiles rendered from one scrape must describe the same set
-	// of observations.
-	mu       sync.Mutex
-	latP50   *stats.P2Quantile
-	latP99   *stats.P2Quantile
-	observed int64
-
-	// rebMu guards the rebuild-duration estimators the same way.
-	rebMu       sync.Mutex
-	rebP50      *stats.P2Quantile
-	rebP99      *stats.P2Quantile
-	rebObserved int64
-
-	// decMu guards the admission-decision latency estimators (queue
-	// wait + writer apply, observed by the sharded facade per shard).
-	decMu       sync.Mutex
-	decP50      *stats.P2Quantile
-	decP99      *stats.P2Quantile
-	decObserved int64
+	http     *prom.Summary // handler latency (ObserveHTTP)
+	rebuild  *prom.Summary // epoch publish duration (ObserveRebuild)
+	decision *prom.Summary // queue wait + writer apply, observed per shard by the facade
 }
 
 // NewMetrics returns an empty counter set.
 func NewMetrics() *Metrics {
-	p50, _ := stats.NewP2Quantile(0.5)
-	p99, _ := stats.NewP2Quantile(0.99)
-	r50, _ := stats.NewP2Quantile(0.5)
-	r99, _ := stats.NewP2Quantile(0.99)
-	d50, _ := stats.NewP2Quantile(0.5)
-	d99, _ := stats.NewP2Quantile(0.99)
-	return &Metrics{latP50: p50, latP99: p99, rebP50: r50, rebP99: r99, decP50: d50, decP99: d99}
+	return &Metrics{http: prom.NewSummary(), rebuild: prom.NewSummary(), decision: prom.NewSummary()}
+}
+
+// counters declares every Metrics counter once, in render order. A
+// scrape sums each row over the node's counter sets; rows sharing a
+// name are one labelled family.
+var counters = [...]struct {
+	name, labels, help string
+	of                 func(*Metrics) *atomic.Int64
+}{
+	{"gpsd_admits_total", "", "accepted admission decisions", func(m *Metrics) *atomic.Int64 { return &m.Admits }},
+	{"gpsd_rejects_total", "", "rejected admission decisions", func(m *Metrics) *atomic.Int64 { return &m.Rejects }},
+	{"gpsd_releases_total", "", "successful session releases", func(m *Metrics) *atomic.Int64 { return &m.Releases }},
+	{"gpsd_release_misses_total", "", "releases of unknown session ids", func(m *Metrics) *atomic.Int64 { return &m.ReleaseMisses }},
+	{"gpsd_shed_total", "", "mutations shed by queue backpressure", func(m *Metrics) *atomic.Int64 { return &m.Shed }},
+	{"gpsd_epoch_rebuilds_total", "", "epochs published", func(m *Metrics) *atomic.Int64 { return &m.Rebuilds }},
+	{"gpsd_epoch_rebuild_failures_total", "", "epoch builds rejected by the analysis", func(m *Metrics) *atomic.Int64 { return &m.RebuildFailures }},
+	{"gpsd_epoch_rebuild_seconds_total_nanos", "", "cumulative nanoseconds inside epoch rebuilds", func(m *Metrics) *atomic.Int64 { return &m.RebuildNanos }},
+	{"gpsd_epoch_delta_rebuilds_total", "", "epochs published by the incremental path", func(m *Metrics) *atomic.Int64 { return &m.DeltaRebuilds }},
+	{"gpsd_epoch_full_rebuilds_total", "", "epochs published by the from-scratch path", func(m *Metrics) *atomic.Int64 { return &m.FullRebuilds }},
+	{"gpsd_epoch_delta_fallbacks_total", "", "delta attempts that fell back to a full rebuild", func(m *Metrics) *atomic.Int64 { return &m.DeltaFallbacks }},
+	{"gpsd_epoch_selfchecks_total", "", "delta epochs compared against a from-scratch analysis", func(m *Metrics) *atomic.Int64 { return &m.SelfChecks }},
+	{"gpsd_epoch_selfcheck_failures_total", "", "self-checks that found a difference", func(m *Metrics) *atomic.Int64 { return &m.SelfCheckFailures }},
+	{"gpsd_type_eval_hits_total", "", "per-type target evaluations served from the cross-epoch memo", func(m *Metrics) *atomic.Int64 { return &m.TypeEvalHits }},
+	{"gpsd_type_eval_misses_total", "", "per-type target evaluations computed", func(m *Metrics) *atomic.Int64 { return &m.TypeEvalMisses }},
+	{"gpsd_rate_cache_hits_total", "", "required-rate memo hits", func(m *Metrics) *atomic.Int64 { return &m.CacheHits }},
+	{"gpsd_rate_cache_misses_total", "", "required-rate memo misses", func(m *Metrics) *atomic.Int64 { return &m.CacheMisses }},
+	{"gpsd_ledger_refills_total", "", "capacity reservations taken from the cross-shard ledger", func(m *Metrics) *atomic.Int64 { return &m.LedgerRefills }},
+	{"gpsd_ledger_returns_total", "", "surplus capacity handed back to the ledger", func(m *Metrics) *atomic.Int64 { return &m.LedgerReturns }},
+	{"gpsd_cluster_prepares_total", "", "cluster two-phase reservations accepted", func(m *Metrics) *atomic.Int64 { return &m.ClusterPrepares }},
+	{"gpsd_cluster_prepare_rejects_total", "", "cluster reservations refused for headroom", func(m *Metrics) *atomic.Int64 { return &m.ClusterPrepareRejects }},
+	{"gpsd_cluster_commits_total", "", "cluster prepares committed into sessions", func(m *Metrics) *atomic.Int64 { return &m.ClusterCommits }},
+	{"gpsd_cluster_aborts_total", "", "cluster prepares rolled back by the coordinator", func(m *Metrics) *atomic.Int64 { return &m.ClusterAborts }},
+	{"gpsd_cluster_expires_total", "", "cluster prepares expired by TTL", func(m *Metrics) *atomic.Int64 { return &m.ClusterExpires }},
+	{"gpsd_cluster_commit_retries_total", "", "retried commits answered idempotently from the resolved-tx memory", func(m *Metrics) *atomic.Int64 { return &m.ClusterCommitRetries }},
+	{"gpsd_cluster_compensations_total", "", "committed sessions released by abort-after-commit compensation", func(m *Metrics) *atomic.Int64 { return &m.ClusterCompensations }},
+	{"gpsd_wal_appends_total", "", "mutations made durable in the write-ahead log", func(m *Metrics) *atomic.Int64 { return &m.WALAppends }},
+	{"gpsd_wal_append_failures_total", "", "WAL appends refused (mutation not applied)", func(m *Metrics) *atomic.Int64 { return &m.WALAppendFailures }},
+	{"gpsd_wal_snapshots_total", "", "WAL state snapshots written", func(m *Metrics) *atomic.Int64 { return &m.WALSnapshots }},
+	{"gpsd_wal_snapshot_failures_total", "", "WAL snapshots that failed", func(m *Metrics) *atomic.Int64 { return &m.WALSnapshotFailures }},
+	{"gpsd_wal_recovered_ops_total", "", "log-suffix ops replayed at boot", func(m *Metrics) *atomic.Int64 { return &m.WALRecoveredOps }},
+	{"gpsd_http_responses_total", `class="2xx"`, "served responses by status class", func(m *Metrics) *atomic.Int64 { return &m.resp2xx }},
+	{"gpsd_http_responses_total", `class="4xx"`, "", func(m *Metrics) *atomic.Int64 { return &m.resp4xx }},
+	{"gpsd_http_responses_total", `class="5xx"`, "", func(m *Metrics) *atomic.Int64 { return &m.resp5xx }},
+}
+
+// shardSeries are the per-writer series the sharded facade renders,
+// one sample per shard.
+var shardSeries = [...]struct {
+	name, typ, help string
+	of              func(d *Daemon, ep *Epoch) float64
+}{
+	{"gpsd_shard_queue_depth", "gauge", "per-shard mutation-queue occupancy",
+		func(d *Daemon, _ *Epoch) float64 { return float64(d.QueueDepth()) }},
+	{"gpsd_shard_sessions", "gauge", "per-shard sessions in the published epoch",
+		func(_ *Daemon, ep *Epoch) float64 { return float64(ep.Sessions()) }},
+	{"gpsd_shard_capacity", "gauge", "per-shard ledger-granted capacity slice",
+		func(d *Daemon, _ *Epoch) float64 { return d.Capacity() }},
+	{"gpsd_shard_epoch_age_seconds", "gauge", "per-shard published epoch age",
+		func(_ *Daemon, ep *Epoch) float64 { return epochAge(ep) }},
+	{"gpsd_shard_epoch_delta_rebuilds_total", "counter", "per-shard epochs published by the incremental path",
+		func(d *Daemon, _ *Epoch) float64 { return float64(d.met.DeltaRebuilds.Load()) }},
+	{"gpsd_shard_epoch_full_rebuilds_total", "counter", "per-shard epochs published by the from-scratch path",
+		func(d *Daemon, _ *Epoch) float64 { return float64(d.met.FullRebuilds.Load()) }},
+	{"gpsd_shard_ledger_refills_total", "counter", "per-shard capacity reservations taken from the ledger",
+		func(d *Daemon, _ *Epoch) float64 { return float64(d.met.LedgerRefills.Load()) }},
+	{"gpsd_shard_ledger_returns_total", "counter", "per-shard capacity returned to the ledger",
+		func(d *Daemon, _ *Epoch) float64 { return float64(d.met.LedgerReturns.Load()) }},
 }
 
 // ObserveDecision records one admission/release decision's end-to-end
-// latency (submit to reply) in the P² decision estimators.
-func (m *Metrics) ObserveDecision(dur time.Duration) {
-	s := dur.Seconds()
-	m.decMu.Lock()
-	m.decP50.Add(s)
-	m.decP99.Add(s)
-	m.decObserved++
-	m.decMu.Unlock()
-}
-
-// DecisionSummary returns the p50/p99 decision latency in seconds and
-// the observation count as one consistent snapshot.
-func (m *Metrics) DecisionSummary() (p50, p99 float64, observed int64) {
-	m.decMu.Lock()
-	defer m.decMu.Unlock()
-	if m.decP50.N() == 0 {
-		return 0, 0, m.decObserved
-	}
-	return m.decP50.Quantile(), m.decP99.Quantile(), m.decObserved
-}
+// latency (submit to reply) in the decision summary.
+func (m *Metrics) ObserveDecision(dur time.Duration) { m.decision.Observe(dur.Seconds()) }
 
 // ObserveRebuild records one epoch publish duration (delta or full) in
-// the P² rebuild-duration estimators.
-func (m *Metrics) ObserveRebuild(dur time.Duration) {
-	s := dur.Seconds()
-	m.rebMu.Lock()
-	m.rebP50.Add(s)
-	m.rebP99.Add(s)
-	m.rebObserved++
-	m.rebMu.Unlock()
-}
-
-// RebuildSummary returns the p50/p99 epoch publish duration in seconds
-// and the observation count as one consistent snapshot.
-func (m *Metrics) RebuildSummary() (p50, p99 float64, observed int64) {
-	m.rebMu.Lock()
-	defer m.rebMu.Unlock()
-	if m.rebP50.N() == 0 {
-		return 0, 0, m.rebObserved
-	}
-	return m.rebP50.Quantile(), m.rebP99.Quantile(), m.rebObserved
-}
+// the rebuild summary.
+func (m *Metrics) ObserveRebuild(dur time.Duration) { m.rebuild.Observe(dur.Seconds()) }
 
 // ObserveHTTP records one served request: its status class and handler
-// latency. The latency estimators are O(1)-memory P² trackers, so the
-// daemon's footprint does not grow with request count.
+// latency.
 func (m *Metrics) ObserveHTTP(status int, dur time.Duration) {
 	switch {
 	case status >= 500:
@@ -145,186 +152,109 @@ func (m *Metrics) ObserveHTTP(status int, dur time.Duration) {
 	default:
 		m.resp2xx.Add(1)
 	}
-	s := dur.Seconds()
-	m.mu.Lock()
-	m.latP50.Add(s)
-	m.latP99.Add(s)
-	m.observed++
-	m.mu.Unlock()
+	m.http.Observe(dur.Seconds())
 }
 
-// Responses returns the 2xx/4xx/5xx response counts.
-func (m *Metrics) Responses() (r2, r4, r5 int64) {
-	return m.resp2xx.Load(), m.resp4xx.Load(), m.resp5xx.Load()
-}
-
-// LatencyQuantiles returns the current p50/p99 handler latency in
-// seconds (0, 0 before any observation).
-func (m *Metrics) LatencyQuantiles() (p50, p99 float64) {
-	p50, p99, _ = m.LatencySummary()
-	return p50, p99
-}
-
-// LatencySummary returns the p50/p99 handler latency and the
-// observation count as one consistent snapshot: the count is taken
-// under the same lock as the quantiles, so a scrape can never report a
-// count that disagrees with the summary it labels.
-func (m *Metrics) LatencySummary() (p50, p99 float64, observed int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.latP50.N() == 0 {
-		return 0, 0, m.observed
+// epochAge is how long ago ep was published (0 before the first
+// publish).
+func epochAge(ep *Epoch) float64 {
+	if ep.Seq == 0 {
+		return 0
 	}
-	return m.latP50.Quantile(), m.latP99.Quantile(), m.observed
+	return time.Since(ep.BuiltAt).Seconds()
 }
 
-// metricsFrame is one scrape's worth of aggregate values — assembled
-// from a standalone daemon's counter set, or summed across shard
-// writers by the facade — rendered identically either way so every
-// consumer (gpsdload, the smoke scripts) sees the same metric names
-// whatever the shard count.
-type metricsFrame struct {
-	admits, rejects, releases, releaseMisses, shed                           int64
-	rebuilds, rebuildFailures, rebuildNanos                                  int64
-	deltaRebuilds, fullRebuilds, deltaFallbacks, selfChecks, selfCheckFails  int64
-	typeEvalHits, typeEvalMisses, cacheHits, cacheMisses                     int64
-	ledgerRefills, ledgerReturns                                             int64
-	clPrepares, clPrepareRejects, clCommits, clAborts, clExpires             int64
-	clCommitRetries, clCompensations                                         int64
-	walAppends, walAppendFailures, walSnapshots, walSnapshotFails, walRecOps int64
-	resp2xx, resp4xx, resp5xx                                                int64
-	latP50, latP99                                                           float64
-	latN                                                                     int64
-	rebP50, rebP99                                                           float64
-	rebN                                                                     int64
-	epochSeq                                                                 uint64
-	sessions, targetsMet, guaranteed, degraded, infeasible, queueDepth       int
-	utilization, epochAge                                                    float64
+// WriteMetrics renders a lone writer's metric set: the node renderer
+// over a one-writer list.
+func (d *Daemon) WriteMetrics(w io.Writer) { writeNode(w, d.met, []*Daemon{d}, d.cfg.Rate, nil) }
+
+// WriteMetrics implements Service: the node renderer over every shard,
+// followed by the ledger and per-shard series.
+func (s *Sharded) WriteMetrics(w io.Writer) { writeNode(w, s.met, s.shards, s.cfg.Rate, s.led) }
+
+// writeNode renders one node's metric set in Prometheus text format.
+// front is the counter set HTTP observations land in, and ds are the
+// writers (a lone writer is its own front). Counters sum over front and
+// every writer, epoch gauges compose across writers, and rebuild
+// quantiles are the worst writer's (quantiles do not sum), so every
+// consumer sees the same names whatever the shard count. With a ledger
+// — the sharded facade — the ledger and per-shard series follow.
+func writeNode(w io.Writer, front *Metrics, ds []*Daemon, rate float64, led *ledger.Ledger) {
+	mets := []*Metrics{front}
+	eps := make([]*Epoch, len(ds))
+	var (
+		seq                                                           uint64
+		sessions, targetsMet, guaranteed, degraded, infeasible, queue int
+		used, age, rebP50, rebP99                                     float64
+		rebN                                                          int64
+	)
+	for i, d := range ds {
+		if d.met != front {
+			mets = append(mets, d.met)
+		}
+		ep := d.CurrentEpoch()
+		if ep == nil {
+			// A scrape that races startup renders zeros, not a panic.
+			ep = &Epoch{}
+		}
+		eps[i] = ep
+		seq += ep.Seq
+		sessions += ep.Sessions()
+		used += ep.Used
+		targetsMet += ep.TargetsMet
+		guaranteed += ep.Guaranteed
+		degraded += ep.Degraded
+		infeasible += ep.Infeasible
+		queue += d.QueueDepth()
+		age = max(age, epochAge(ep))
+		p50, p99, n := d.met.rebuild.Snapshot()
+		rebP50, rebP99, rebN = max(rebP50, p50), max(rebP99, p99), rebN+n
+	}
+	for i, c := range counters {
+		if i == 0 || counters[i-1].name != c.name {
+			prom.Family(w, c.name, "counter", c.help)
+		}
+		var sum int64
+		for _, m := range mets {
+			sum += c.of(m).Load()
+		}
+		prom.Sample(w, c.name, c.labels, float64(sum))
+	}
+	prom.Gauge(w, "gpsd_epoch_seq", "sequence number of the published epoch", float64(seq))
+	prom.Gauge(w, "gpsd_sessions", "sessions in the published epoch", float64(sessions))
+	prom.Gauge(w, "gpsd_utilization", "sum of required rates over link rate (published epoch)", used/rate)
+	prom.Gauge(w, "gpsd_targets_met", "epoch sessions whose analysis bound meets their declared target", float64(targetsMet))
+	prom.Gauge(w, "gpsd_sessions_guaranteed", "epoch sessions Guaranteed under ClassifyUnderRate revalidation", float64(guaranteed))
+	prom.Gauge(w, "gpsd_sessions_degraded", "epoch sessions Degraded under revalidation (invariant breach)", float64(degraded))
+	prom.Gauge(w, "gpsd_sessions_infeasible", "epoch sessions Infeasible under revalidation (invariant breach)", float64(infeasible))
+	prom.Gauge(w, "gpsd_queue_depth", "instantaneous mutation-queue occupancy", float64(queue))
+	prom.Gauge(w, "gpsd_epoch_age_seconds", "age of the published epoch at scrape time", age)
+	prom.Family(w, "gpsd_handler_latency_seconds", "summary", "handler latency quantiles (P2 estimator)")
+	p50, p99, n := front.http.Snapshot()
+	prom.Quantiles(w, "gpsd_handler_latency_seconds", "", p50, p99, n)
+	prom.Family(w, "gpsd_rebuild_duration_seconds", "summary", "epoch publish duration quantiles (P2 estimator)")
+	prom.Quantiles(w, "gpsd_rebuild_duration_seconds", "", rebP50, rebP99, rebN)
+	if led == nil {
+		return
+	}
+
+	prom.Gauge(w, "gpsd_shards", "shard writer count", float64(len(ds)))
+	prom.Gauge(w, "gpsd_ledger_budget", "global capacity budget (link rate)", led.Budget())
+	prom.Gauge(w, "gpsd_ledger_reserved", "capacity currently reserved by shards", led.Reserved())
+	st := led.Stats()
+	prom.Counter(w, "gpsd_ledger_cas_retries_total", "ledger CAS loops that had to retry (contention)", float64(st.CASRetries))
+	prom.Counter(w, "gpsd_ledger_reserve_rejects_total", "ledger reservations refused for lack of budget", float64(st.Rejects))
+	for _, s := range shardSeries {
+		prom.Family(w, s.name, s.typ, s.help)
+		for i, d := range ds {
+			prom.Sample(w, s.name, shardLabel(i), s.of(d, eps[i]))
+		}
+	}
+	prom.Family(w, "gpsd_shard_decision_latency_seconds", "summary", "per-shard admission/release decision latency (P2 estimator)")
+	for i, d := range ds {
+		p50, p99, n := d.met.decision.Snapshot()
+		prom.Quantiles(w, "gpsd_shard_decision_latency_seconds", shardLabel(i), p50, p99, n)
+	}
 }
 
-// addCounters folds m's counters into the frame (the P² summaries and
-// gauges are the caller's business — quantiles do not sum).
-func (f *metricsFrame) addCounters(m *Metrics) {
-	f.admits += m.Admits.Load()
-	f.rejects += m.Rejects.Load()
-	f.releases += m.Releases.Load()
-	f.releaseMisses += m.ReleaseMisses.Load()
-	f.shed += m.Shed.Load()
-	f.rebuilds += m.Rebuilds.Load()
-	f.rebuildFailures += m.RebuildFailures.Load()
-	f.rebuildNanos += m.RebuildNanos.Load()
-	f.deltaRebuilds += m.DeltaRebuilds.Load()
-	f.fullRebuilds += m.FullRebuilds.Load()
-	f.deltaFallbacks += m.DeltaFallbacks.Load()
-	f.selfChecks += m.SelfChecks.Load()
-	f.selfCheckFails += m.SelfCheckFailures.Load()
-	f.typeEvalHits += m.TypeEvalHits.Load()
-	f.typeEvalMisses += m.TypeEvalMisses.Load()
-	f.cacheHits += m.CacheHits.Load()
-	f.cacheMisses += m.CacheMisses.Load()
-	f.ledgerRefills += m.LedgerRefills.Load()
-	f.ledgerReturns += m.LedgerReturns.Load()
-	f.clPrepares += m.ClusterPrepares.Load()
-	f.clPrepareRejects += m.ClusterPrepareRejects.Load()
-	f.clCommits += m.ClusterCommits.Load()
-	f.clAborts += m.ClusterAborts.Load()
-	f.clExpires += m.ClusterExpires.Load()
-	f.clCommitRetries += m.ClusterCommitRetries.Load()
-	f.clCompensations += m.ClusterCompensations.Load()
-	f.walAppends += m.WALAppends.Load()
-	f.walAppendFailures += m.WALAppendFailures.Load()
-	f.walSnapshots += m.WALSnapshots.Load()
-	f.walSnapshotFails += m.WALSnapshotFailures.Load()
-	f.walRecOps += m.WALRecoveredOps.Load()
-	f.resp2xx += m.resp2xx.Load()
-	f.resp4xx += m.resp4xx.Load()
-	f.resp5xx += m.resp5xx.Load()
-}
-
-// render writes the frame in Prometheus text format.
-func (f *metricsFrame) render(w io.Writer) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, format string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s "+format+"\n", name, help, name, name, v)
-	}
-	counter("gpsd_admits_total", "accepted admission decisions", f.admits)
-	counter("gpsd_rejects_total", "rejected admission decisions", f.rejects)
-	counter("gpsd_releases_total", "successful session releases", f.releases)
-	counter("gpsd_release_misses_total", "releases of unknown session ids", f.releaseMisses)
-	counter("gpsd_shed_total", "mutations shed by queue backpressure", f.shed)
-	counter("gpsd_epoch_rebuilds_total", "epochs published", f.rebuilds)
-	counter("gpsd_epoch_rebuild_failures_total", "epoch builds rejected by the analysis", f.rebuildFailures)
-	counter("gpsd_epoch_rebuild_seconds_total_nanos", "cumulative nanoseconds inside epoch rebuilds", f.rebuildNanos)
-	counter("gpsd_epoch_delta_rebuilds_total", "epochs published by the incremental path", f.deltaRebuilds)
-	counter("gpsd_epoch_full_rebuilds_total", "epochs published by the from-scratch path", f.fullRebuilds)
-	counter("gpsd_epoch_delta_fallbacks_total", "delta attempts that fell back to a full rebuild", f.deltaFallbacks)
-	counter("gpsd_epoch_selfchecks_total", "delta epochs compared against a from-scratch analysis", f.selfChecks)
-	counter("gpsd_epoch_selfcheck_failures_total", "self-checks that found a difference", f.selfCheckFails)
-	counter("gpsd_type_eval_hits_total", "per-type target evaluations served from the cross-epoch memo", f.typeEvalHits)
-	counter("gpsd_type_eval_misses_total", "per-type target evaluations computed", f.typeEvalMisses)
-	counter("gpsd_rate_cache_hits_total", "required-rate memo hits", f.cacheHits)
-	counter("gpsd_rate_cache_misses_total", "required-rate memo misses", f.cacheMisses)
-	counter("gpsd_ledger_refills_total", "capacity reservations taken from the cross-shard ledger", f.ledgerRefills)
-	counter("gpsd_ledger_returns_total", "surplus capacity handed back to the ledger", f.ledgerReturns)
-	counter("gpsd_cluster_prepares_total", "cluster two-phase reservations accepted", f.clPrepares)
-	counter("gpsd_cluster_prepare_rejects_total", "cluster reservations refused for headroom", f.clPrepareRejects)
-	counter("gpsd_cluster_commits_total", "cluster prepares committed into sessions", f.clCommits)
-	counter("gpsd_cluster_aborts_total", "cluster prepares rolled back by the coordinator", f.clAborts)
-	counter("gpsd_cluster_expires_total", "cluster prepares expired by TTL", f.clExpires)
-	counter("gpsd_cluster_commit_retries_total", "retried commits answered idempotently from the resolved-tx memory", f.clCommitRetries)
-	counter("gpsd_cluster_compensations_total", "committed sessions released by abort-after-commit compensation", f.clCompensations)
-	counter("gpsd_wal_appends_total", "mutations made durable in the write-ahead log", f.walAppends)
-	counter("gpsd_wal_append_failures_total", "WAL appends refused (mutation not applied)", f.walAppendFailures)
-	counter("gpsd_wal_snapshots_total", "WAL state snapshots written", f.walSnapshots)
-	counter("gpsd_wal_snapshot_failures_total", "WAL snapshots that failed", f.walSnapshotFails)
-	counter("gpsd_wal_recovered_ops_total", "log-suffix ops replayed at boot", f.walRecOps)
-	fmt.Fprintf(w, "# HELP gpsd_http_responses_total served responses by status class\n# TYPE gpsd_http_responses_total counter\n")
-	fmt.Fprintf(w, "gpsd_http_responses_total{class=\"2xx\"} %d\n", f.resp2xx)
-	fmt.Fprintf(w, "gpsd_http_responses_total{class=\"4xx\"} %d\n", f.resp4xx)
-	fmt.Fprintf(w, "gpsd_http_responses_total{class=\"5xx\"} %d\n", f.resp5xx)
-	gauge("gpsd_epoch_seq", "sequence number of the published epoch", "%d", f.epochSeq)
-	gauge("gpsd_sessions", "sessions in the published epoch", "%d", f.sessions)
-	gauge("gpsd_utilization", "sum of required rates over link rate (published epoch)", "%g", f.utilization)
-	gauge("gpsd_targets_met", "epoch sessions whose analysis bound meets their declared target", "%d", f.targetsMet)
-	gauge("gpsd_sessions_guaranteed", "epoch sessions Guaranteed under ClassifyUnderRate revalidation", "%d", f.guaranteed)
-	gauge("gpsd_sessions_degraded", "epoch sessions Degraded under revalidation (invariant breach)", "%d", f.degraded)
-	gauge("gpsd_sessions_infeasible", "epoch sessions Infeasible under revalidation (invariant breach)", "%d", f.infeasible)
-	gauge("gpsd_queue_depth", "instantaneous mutation-queue occupancy", "%d", f.queueDepth)
-	gauge("gpsd_epoch_age_seconds", "age of the published epoch at scrape time", "%g", f.epochAge)
-	fmt.Fprintf(w, "# HELP gpsd_handler_latency_seconds handler latency quantiles (P2 estimator)\n# TYPE gpsd_handler_latency_seconds summary\n")
-	fmt.Fprintf(w, "gpsd_handler_latency_seconds{quantile=\"0.5\"} %g\n", f.latP50)
-	fmt.Fprintf(w, "gpsd_handler_latency_seconds{quantile=\"0.99\"} %g\n", f.latP99)
-	fmt.Fprintf(w, "gpsd_handler_latency_seconds_count %d\n", f.latN)
-	fmt.Fprintf(w, "# HELP gpsd_rebuild_duration_seconds epoch publish duration quantiles (P2 estimator)\n# TYPE gpsd_rebuild_duration_seconds summary\n")
-	fmt.Fprintf(w, "gpsd_rebuild_duration_seconds{quantile=\"0.5\"} %g\n", f.rebP50)
-	fmt.Fprintf(w, "gpsd_rebuild_duration_seconds{quantile=\"0.99\"} %g\n", f.rebP99)
-	fmt.Fprintf(w, "gpsd_rebuild_duration_seconds_count %d\n", f.rebN)
-}
-
-// WriteMetrics renders the full metric set in Prometheus text format:
-// the daemon's decision counters, epoch/queue gauges sampled at scrape
-// time, and the latency quantiles.
-func (d *Daemon) WriteMetrics(w io.Writer) {
-	ep := d.CurrentEpoch()
-	if ep == nil {
-		// A scrape that races daemon startup must render zeros, not
-		// panic the handler.
-		ep = &Epoch{}
-	}
-	var f metricsFrame
-	f.addCounters(d.met)
-	f.latP50, f.latP99, f.latN = d.met.LatencySummary()
-	f.rebP50, f.rebP99, f.rebN = d.met.RebuildSummary()
-	f.epochSeq = ep.Seq
-	f.sessions = ep.Sessions()
-	f.utilization = ep.Used / d.cfg.Rate
-	f.targetsMet = ep.TargetsMet
-	f.guaranteed, f.degraded, f.infeasible = ep.Guaranteed, ep.Degraded, ep.Infeasible
-	f.queueDepth = d.QueueDepth()
-	if ep.Seq > 0 {
-		f.epochAge = time.Since(ep.BuiltAt).Seconds()
-	}
-	f.render(w)
-}
+func shardLabel(i int) string { return `shard="` + strconv.Itoa(i) + `"` }

@@ -277,7 +277,7 @@ func TestLatencySummaryConsistentUnderConcurrency(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 200; i++ {
-			p50, p99, n := m.LatencySummary()
+			p50, p99, n := m.http.Snapshot()
 			if n < 0 || math.IsNaN(p50) || math.IsNaN(p99) {
 				t.Errorf("inconsistent summary: p50=%v p99=%v n=%d", p50, p99, n)
 				return
@@ -296,7 +296,7 @@ func TestLatencySummaryConsistentUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	<-done
-	_, _, n := m.LatencySummary()
+	_, _, n := m.http.Snapshot()
 	if n != workers*perWorker {
 		t.Errorf("observed %d, want %d", n, workers*perWorker)
 	}

@@ -106,10 +106,6 @@ type Config struct {
 	// will replay into one epoch; a larger batch falls back to a full
 	// rebuild, which is cheaper past that point (default 256).
 	DeltaMaxOps int
-	// DeltaMaxFraction caps the same batch as a fraction of the session
-	// count, so small populations do not replay op-by-op what one small
-	// rebuild would cover (default 0.25; floor of 8 ops either way).
-	DeltaMaxFraction float64
 	// SelfCheckEvery runs a from-scratch analysis against every Nth
 	// delta-built epoch and adopts it (plus a metric) on any bit
 	// difference. Default 128; negative disables.
@@ -147,9 +143,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeltaMaxOps <= 0 {
 		c.DeltaMaxOps = 256
-	}
-	if c.DeltaMaxFraction <= 0 {
-		c.DeltaMaxFraction = 0.25
 	}
 	if c.SelfCheckEvery == 0 {
 		c.SelfCheckEvery = 128

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -337,15 +336,6 @@ func (s *Sharded) Health() HealthView {
 	return h
 }
 
-// Epochs returns every shard's current epoch in shard order.
-func (s *Sharded) Epochs() []*Epoch {
-	eps := make([]*Epoch, s.n)
-	for i, d := range s.shards {
-		eps[i] = d.CurrentEpoch()
-	}
-	return eps
-}
-
 // Rebuild forces an epoch publish on every shard writer (tests and
 // benchmarks).
 func (s *Sharded) Rebuild() error {
@@ -378,105 +368,4 @@ func (s *Sharded) Close(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// WriteMetrics implements Service: the aggregate frame (summed
-// counters, composed gauges — identical names to the standalone
-// daemon, so every existing consumer keeps working) followed by the
-// per-shard and ledger series.
-func (s *Sharded) WriteMetrics(w io.Writer) {
-	var f metricsFrame
-	f.addCounters(s.met)
-	f.latP50, f.latP99, f.latN = s.met.LatencySummary()
-	oldest := time.Time{}
-	for _, d := range s.shards {
-		f.addCounters(d.met)
-		r50, r99, rn := d.met.RebuildSummary()
-		// Quantiles do not sum; report the worst shard's rebuild
-		// quantiles with the summed count.
-		if r50 > f.rebP50 {
-			f.rebP50 = r50
-		}
-		if r99 > f.rebP99 {
-			f.rebP99 = r99
-		}
-		f.rebN += rn
-		ep := d.CurrentEpoch()
-		if ep == nil {
-			continue
-		}
-		f.epochSeq += ep.Seq
-		f.sessions += ep.Sessions()
-		f.utilization += ep.Used
-		f.targetsMet += ep.TargetsMet
-		f.guaranteed += ep.Guaranteed
-		f.degraded += ep.Degraded
-		f.infeasible += ep.Infeasible
-		f.queueDepth += d.QueueDepth()
-		if ep.Seq > 0 && (oldest.IsZero() || ep.BuiltAt.Before(oldest)) {
-			oldest = ep.BuiltAt
-		}
-	}
-	f.utilization /= s.cfg.Rate
-	if !oldest.IsZero() {
-		f.epochAge = time.Since(oldest).Seconds()
-	}
-	f.render(w)
-
-	gauge := func(name, help string, format string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s "+format+"\n", name, help, name, name, v)
-	}
-	gauge("gpsd_shards", "shard writer count", "%d", s.n)
-	st := s.led.Stats()
-	gauge("gpsd_ledger_budget", "global capacity budget (link rate)", "%g", s.led.Budget())
-	gauge("gpsd_ledger_reserved", "capacity currently reserved by shards", "%g", s.led.Reserved())
-	fmt.Fprintf(w, "# HELP gpsd_ledger_cas_retries_total ledger CAS loops that had to retry (contention)\n# TYPE gpsd_ledger_cas_retries_total counter\ngpsd_ledger_cas_retries_total %d\n", st.CASRetries)
-	fmt.Fprintf(w, "# HELP gpsd_ledger_reserve_rejects_total ledger reservations refused for lack of budget\n# TYPE gpsd_ledger_reserve_rejects_total counter\ngpsd_ledger_reserve_rejects_total %d\n", st.Rejects)
-
-	series := func(name, help, typ string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-	series("gpsd_shard_queue_depth", "per-shard mutation-queue occupancy", "gauge")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_queue_depth{shard=\"%d\"} %d\n", i, d.QueueDepth())
-	}
-	series("gpsd_shard_sessions", "per-shard sessions in the published epoch", "gauge")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_sessions{shard=\"%d\"} %d\n", i, d.CurrentEpoch().Sessions())
-	}
-	series("gpsd_shard_capacity", "per-shard ledger-granted capacity slice", "gauge")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_capacity{shard=\"%d\"} %g\n", i, d.Capacity())
-	}
-	series("gpsd_shard_epoch_age_seconds", "per-shard published epoch age", "gauge")
-	for i, d := range s.shards {
-		age := 0.0
-		if ep := d.CurrentEpoch(); ep != nil && ep.Seq > 0 {
-			age = time.Since(ep.BuiltAt).Seconds()
-		}
-		fmt.Fprintf(w, "gpsd_shard_epoch_age_seconds{shard=\"%d\"} %g\n", i, age)
-	}
-	series("gpsd_shard_epoch_delta_rebuilds_total", "per-shard epochs published by the incremental path", "counter")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_epoch_delta_rebuilds_total{shard=\"%d\"} %d\n", i, d.met.DeltaRebuilds.Load())
-	}
-	series("gpsd_shard_epoch_full_rebuilds_total", "per-shard epochs published by the from-scratch path", "counter")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_epoch_full_rebuilds_total{shard=\"%d\"} %d\n", i, d.met.FullRebuilds.Load())
-	}
-	series("gpsd_shard_ledger_refills_total", "per-shard capacity reservations taken from the ledger", "counter")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_ledger_refills_total{shard=\"%d\"} %d\n", i, d.met.LedgerRefills.Load())
-	}
-	series("gpsd_shard_ledger_returns_total", "per-shard capacity returned to the ledger", "counter")
-	for i, d := range s.shards {
-		fmt.Fprintf(w, "gpsd_shard_ledger_returns_total{shard=\"%d\"} %d\n", i, d.met.LedgerReturns.Load())
-	}
-	fmt.Fprintf(w, "# HELP gpsd_shard_decision_latency_seconds per-shard admission/release decision latency (P2 estimator)\n# TYPE gpsd_shard_decision_latency_seconds summary\n")
-	for i, d := range s.shards {
-		p50, p99, n := d.met.DecisionSummary()
-		fmt.Fprintf(w, "gpsd_shard_decision_latency_seconds{shard=\"%d\",quantile=\"0.5\"} %g\n", i, p50)
-		fmt.Fprintf(w, "gpsd_shard_decision_latency_seconds{shard=\"%d\",quantile=\"0.99\"} %g\n", i, p99)
-		fmt.Fprintf(w, "gpsd_shard_decision_latency_seconds_count{shard=\"%d\"} %d\n", i, n)
-	}
 }

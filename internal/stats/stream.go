@@ -5,35 +5,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/source"
 )
 
 // This file holds the fixed-memory estimators that let TreeSim-style
 // runs stream tens of millions of delay samples: a bucketed CCDF
-// histogram with exactly mergeable integer counts (StreamTail), the P²
-// single-quantile tracker, and a seeded reservoir sample. Exact Tail
-// stays the right tool for small runs; the differential tests in
-// stream_test.go bound the streaming estimators against it on seeded
-// workloads.
-
-// TailEstimator is the query surface shared by the exact Tail and the
-// fixed-memory StreamTail, so harnesses can switch between them without
-// caring which is underneath.
-type TailEstimator interface {
-	Add(x float64)
-	N() int
-	Mean() float64
-	Max() float64
-	CCDF(x float64) float64
-	Quantile(p float64) (float64, error)
-	CCDFCurve(levels []float64) []float64
-}
-
-var (
-	_ TailEstimator = (*Tail)(nil)
-	_ TailEstimator = (*StreamTail)(nil)
-)
+// histogram with exactly mergeable integer counts (StreamTail) and the
+// P² single-quantile tracker. Exact Tail stays the right tool for small
+// runs; the differential tests in stream_test.go bound the streaming
+// estimators against it on seeded workloads.
 
 // StreamTail estimates tail probabilities from a fixed-size bucketed
 // histogram plus exact running moments: O(buckets) memory no matter how
@@ -373,52 +352,4 @@ func (e *P2Quantile) Quantile() float64 {
 		return tmp[int(e.p*float64(e.n-1))]
 	}
 	return e.q[2]
-}
-
-// Reservoir keeps a fixed-size uniform sample of a stream (Algorithm R)
-// from which any quantile can be estimated after the fact. It is seeded
-// and deterministic: the same stream and seed always keep the same
-// sample.
-type Reservoir struct {
-	rng  *source.RNG
-	seen uint64
-	buf  []float64
-	cap  int
-}
-
-// NewReservoir keeps a uniform sample of the given capacity.
-func NewReservoir(capacity int, seed uint64) (*Reservoir, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("stats: reservoir capacity %d, want >= 1", capacity)
-	}
-	return &Reservoir{rng: source.NewRNG(seed), buf: make([]float64, 0, capacity), cap: capacity}, nil
-}
-
-// N returns the number of samples streamed through (not the sample size
-// retained).
-func (r *Reservoir) N() int { return int(r.seen) }
-
-// Add offers one sample to the reservoir.
-func (r *Reservoir) Add(x float64) {
-	r.seen++
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, x)
-		return
-	}
-	if j := r.rng.Intn(int(r.seen)); j < r.cap {
-		r.buf[j] = x
-	}
-}
-
-// Quantile estimates the p-th quantile from the retained sample.
-func (r *Reservoir) Quantile(p float64) (float64, error) {
-	if len(r.buf) == 0 {
-		return 0, errors.New("stats: no samples")
-	}
-	if p < 0 || p > 1 {
-		return 0, errors.New("stats: quantile level outside [0,1]")
-	}
-	tmp := append([]float64(nil), r.buf...)
-	sort.Float64s(tmp)
-	return tmp[int(p*float64(len(tmp)-1))], nil
 }

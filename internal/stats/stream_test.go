@@ -282,43 +282,6 @@ func TestP2QuantileSmallN(t *testing.T) {
 	}
 }
 
-// TestReservoirDeterminismAndCoverage: same stream and seed keep the
-// same sample; quantile estimates stay in the right neighborhood.
-func TestReservoirDeterminismAndCoverage(t *testing.T) {
-	samples := expSamples(50000, 1, 31)
-	mk := func() *Reservoir {
-		r, err := NewReservoir(4096, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range samples {
-			r.Add(x)
-		}
-		return r
-	}
-	a, b := mk(), mk()
-	qa, err := a.Quantile(0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qb, _ := b.Quantile(0.9)
-	if qa != qb {
-		t.Fatalf("same stream+seed: %v vs %v", qa, qb)
-	}
-	var exact Tail
-	exact.AddAll(samples)
-	want, _ := exact.Quantile(0.9)
-	if math.Abs(qa-want) > 0.15*want {
-		t.Fatalf("reservoir q90 = %v, exact %v", qa, want)
-	}
-	if a.N() != len(samples) {
-		t.Fatalf("N = %d, want %d", a.N(), len(samples))
-	}
-	if _, err := NewReservoir(0, 1); err == nil {
-		t.Fatal("capacity 0 accepted")
-	}
-}
-
 // TestStreamTailSuffixInvalidation interleaves mutations with queries:
 // the lazily rebuilt suffix array must never serve counts from before
 // an Add or Merge.

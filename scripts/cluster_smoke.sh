@@ -24,7 +24,9 @@
 #   4. The coordinator itself is durable (-coord-wal-dir): SIGKILLed
 #      and restarted, it folds its route journal back, serves
 #      RouteBounds bit-identical to walcheck's offline fold of the same
-#      journal, and releases a session its previous life admitted.
+#      journal, reports its journal's audit trail healthy
+#      (gpsd_audit_fatal 0 on its /metrics), and releases a session its
+#      previous life admitted.
 #   5. A lost commit ack no longer strands hop capacity: a hop that
 #      dies after journaling a commit (cluster.commit crashpoint)
 #      leaves an unjournaled session behind, and the next coordinator
@@ -237,6 +239,11 @@ PC=$DPID
 CSESS=$(metric "$AC" gpsd_coord_sessions)
 if [ "$CSESS" != 3 ]; then
     echo "cluster-smoke: restarted coordinator has $CSESS sessions, want 3" >&2
+    exit 1
+fi
+AFATAL=$(metric "$AC" gpsd_audit_fatal)
+if [ "$AFATAL" != 0 ]; then
+    echo "cluster-smoke: restarted coordinator gpsd_audit_fatal = '$AFATAL', want 0" >&2
     exit 1
 fi
 "$DIR/walcheck" -wal-dir "$DIR/walc" -topology "$DIR/topo.json" -url "http://$AC"

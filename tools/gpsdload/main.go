@@ -8,17 +8,9 @@
 // (with -require-no-5xx) exits nonzero if either side saw a 5xx.
 //
 //	gpsdload -url http://127.0.0.1:7070 -sessions 1000 -duration 10s
-//	gpsdload -url http://127.0.0.1:7070 -sessions 1000 -conns 256
 //
-// -conns N switches the measured window to open-loop connection mode:
-// N independent connections, each with its own http.Client (its own
-// TCP connection and idle pool, nothing shared but the counters),
-// each running its own admit/release/bounds loop. That is the shape a
-// million-session front end presents — no two sessions share a
-// connection — and it is what makes per-shard queueing visible.
-// Against a sharded daemon the post-run scrape also prints a
-// per-shard table (decisions, p50/p99 decision latency, queue depth)
-// parsed from the gpsd_shard_* series.
+// It is the smoke scripts' load driver, not a benchmark: gpsdbench
+// (bench/) measures gpsd, end to end and per layer.
 //
 // As the crash-fault harness (-kill-pid with -kill-after), it SIGKILLs
 // the daemon mid-churn instead of finishing the window: transport
@@ -35,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"regexp"
@@ -46,8 +37,8 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/prom"
 	"repro/internal/source"
-	"repro/internal/stats"
 )
 
 // sessionType is one entry of the declared-traffic palette. The small
@@ -80,21 +71,6 @@ type counters struct {
 	status4xx  atomic.Int64 // other 4xx
 	status5xx  atomic.Int64
 	errors     atomic.Int64 // transport failures
-}
-
-// latencies tracks client-observed request latency with P² estimators.
-type latencies struct {
-	mu  sync.Mutex
-	p50 *stats.P2Quantile
-	p99 *stats.P2Quantile
-}
-
-func (l *latencies) observe(d time.Duration) {
-	s := d.Seconds()
-	l.mu.Lock()
-	l.p50.Add(s)
-	l.p99.Add(s)
-	l.mu.Unlock()
 }
 
 // pool is the shared set of admitted session ids.
@@ -144,7 +120,7 @@ type client struct {
 	base  string
 	hc    *http.Client
 	cnt   *counters
-	lat   *latencies
+	lat   *prom.Summary // client-observed request latency
 	retry *retrier
 	stop  func() bool // aborts retry sleeps once the run is winding down
 }
@@ -158,7 +134,7 @@ func (c *client) do(req *http.Request) (*http.Response, []byte, error) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	c.lat.observe(time.Since(start))
+	c.lat.Observe(time.Since(start).Seconds())
 	switch {
 	case resp.StatusCode >= 500:
 		c.cnt.status5xx.Add(1)
@@ -234,46 +210,10 @@ func (c *client) metrics() (string, error) {
 	return string(body), err
 }
 
-// shardReport prints a per-shard table from a /metrics scrape of gpsd:
-// decision count and p50/p99 decision latency from the server-side P2
-// estimators, plus sessions and queue depth — one row for a one-shard
-// node. A daemon that exports no gpsd_shard_* series prints nothing.
-func shardReport(text string) {
-	get := func(name, shard, rest string) (float64, bool) {
-		re := regexp.MustCompile(name + `\{shard="` + shard + `"` + rest + `\} ([0-9eE+.\-]+|NaN)`)
-		m := re.FindStringSubmatch(text)
-		if m == nil {
-			return 0, false
-		}
-		v, err := strconv.ParseFloat(m[1], 64)
-		return v, err == nil
-	}
-	for i := 0; ; i++ {
-		shard := strconv.Itoa(i)
-		n, ok := get(`gpsd_shard_decision_latency_seconds_count`, shard, ``)
-		if !ok {
-			if i == 0 {
-				return
-			}
-			break
-		}
-		p50, _ := get(`gpsd_shard_decision_latency_seconds`, shard, `,quantile="0\.5"`)
-		p99, _ := get(`gpsd_shard_decision_latency_seconds`, shard, `,quantile="0\.99"`)
-		sessions, _ := get(`gpsd_shard_sessions`, shard, ``)
-		queue, _ := get(`gpsd_shard_queue_depth`, shard, ``)
-		fmt.Printf("gpsdload: shard %d: %.0f decisions, p50 %v p99 %v, %.0f sessions, queue %.0f\n",
-			i, n,
-			time.Duration(p50*1e9).Round(time.Microsecond),
-			time.Duration(p99*1e9).Round(time.Microsecond),
-			sessions, queue)
-	}
-}
-
 func main() {
 	url := flag.String("url", "http://127.0.0.1:7070", "gpsd base URL")
 	sessions := flag.Int("sessions", 1000, "target session population")
 	workers := flag.Int("workers", 8, "closed-loop worker goroutines sharing one pooled client")
-	conns := flag.Int("conns", 0, "open-loop mode: this many independent connections, each with its own client (0 = closed loop with -workers)")
 	duration := flag.Duration("duration", 5*time.Second, "measured churn window")
 	seed := flag.Uint64("seed", 1, "seed for worker traffic and the churn schedule")
 	churnEvents := flag.Int("churn", 64, "seeded leave/rejoin events replayed over the window (0 disables)")
@@ -297,8 +237,6 @@ func main() {
 		log.Fatal("gpsdload: -kill-pid and -require-no-5xx are mutually exclusive (the kill guarantees failed requests)")
 	}
 
-	p50, _ := stats.NewP2Quantile(0.5)
-	p99, _ := stats.NewP2Quantile(0.99)
 	// Kill harness flag, shared with the retry loop: once the kill
 	// lands, backoff sleeps abort instead of stretching the wind-down.
 	var killed atomic.Bool
@@ -312,7 +250,7 @@ func main() {
 			},
 		},
 		cnt:   &counters{},
-		lat:   &latencies{p50: p50, p99: p99},
+		lat:   prom.NewSummary(),
 		retry: newRetrier(*retries, *retryBase, *retryMax, *seed^0xa5a5a5a5),
 		stop:  func() bool { return killed.Load() },
 	}
@@ -421,101 +359,29 @@ func main() {
 		}()
 	}
 
-	// Staleness sampler: scrape gpsd_epoch_age_seconds through the churn
-	// window and keep the maximum — the bound-staleness number the
-	// incremental epoch path is accountable for.
-	var maxAgeBits atomic.Uint64
-	var ageSamples atomic.Int64
-	if *scrape {
-		ageRe := regexp.MustCompile(`gpsd_epoch_age_seconds ([0-9eE+.\-]+)`)
+	// Measured loop: admit, trim the population back to target, sample
+	// bounds.
+	for w := 0; w < *workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			tick := time.NewTicker(200 * time.Millisecond)
-			defer tick.Stop()
+			rng := source.NewRNG(*seed + 17 + uint64(w)*1e9)
 			for time.Now().Before(deadline) && !killed.Load() {
-				<-tick.C
-				text, err := c.metrics()
-				if err != nil {
-					continue
+				if id, ok := c.admit(palette[rng.Intn(len(palette))]); ok {
+					ids.add(id)
 				}
-				m := ageRe.FindStringSubmatch(text)
-				if m == nil {
-					continue
-				}
-				v, err := strconv.ParseFloat(m[1], 64)
-				if err != nil {
-					continue
-				}
-				ageSamples.Add(1)
-				for {
-					old := maxAgeBits.Load()
-					if v <= math.Float64frombits(old) {
-						break
+				if ids.size() > *sessions {
+					if id, ok := ids.take(rng.Uint64()); ok {
+						c.release(id)
 					}
-					if maxAgeBits.CompareAndSwap(old, math.Float64bits(v)) {
-						break
+				}
+				if rng.Float64() < *boundsFrac {
+					if id, ok := ids.pick(rng.Uint64()); ok {
+						c.boundsQuery(id)
 					}
 				}
 			}
-		}()
-	}
-
-	// Measured loop body, shared by both modes: admit, trim the
-	// population back to target, sample bounds.
-	loop := func(cl *client, rngSeed uint64) {
-		rng := source.NewRNG(rngSeed)
-		for time.Now().Before(deadline) && !killed.Load() {
-			if id, ok := cl.admit(palette[rng.Intn(len(palette))]); ok {
-				ids.add(id)
-			}
-			if ids.size() > *sessions {
-				if id, ok := ids.take(rng.Uint64()); ok {
-					cl.release(id)
-				}
-			}
-			if rng.Float64() < *boundsFrac {
-				if id, ok := ids.pick(rng.Uint64()); ok {
-					cl.boundsQuery(id)
-				}
-			}
-		}
-	}
-	if *conns > 0 {
-		// Open loop: every connection is its own client. Only the
-		// counters, the session pool, and the (mutex-jittered) retrier
-		// are shared — transports are not, so nothing serializes two
-		// connections' requests client-side.
-		fmt.Printf("gpsdload: open-loop: %d independent connections\n", *conns)
-		for w := 0; w < *conns; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				cl := &client{
-					base: *url,
-					hc: &http.Client{
-						Timeout: 10 * time.Second,
-						Transport: &http.Transport{
-							MaxIdleConns:        1,
-							MaxIdleConnsPerHost: 1,
-						},
-					},
-					cnt:   c.cnt,
-					lat:   c.lat,
-					retry: c.retry,
-					stop:  c.stop,
-				}
-				loop(cl, *seed+31+uint64(w)*1e7)
-			}(w)
-		}
-	} else {
-		for w := 0; w < *workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				loop(c, *seed+17+uint64(w)*1e9)
-			}(w)
-		}
+		}(w)
 	}
 	wg.Wait()
 	if *killPid > 0 {
@@ -525,9 +391,8 @@ func main() {
 
 	cnt := c.cnt
 	decisions := cnt.admitsOK.Load() + cnt.admitsNo.Load() + cnt.releasesOK.Load()
-	c.lat.mu.Lock()
-	lp50, lp99 := time.Duration(p50.Quantile()*1e9), time.Duration(p99.Quantile()*1e9)
-	c.lat.mu.Unlock()
+	p50, p99, _ := c.lat.Snapshot()
+	lp50, lp99 := time.Duration(p50*1e9), time.Duration(p99*1e9)
 	fmt.Printf("gpsdload: %d decisions in %v = %.0f decisions/s (admit-ok %d, admit-reject %d, release %d, bounds %d, too-early %d)\n",
 		decisions, elapsed.Round(time.Millisecond), float64(decisions)/elapsed.Seconds(),
 		cnt.admitsOK.Load(), cnt.admitsNo.Load(), cnt.releasesOK.Load(),
@@ -535,10 +400,6 @@ func main() {
 	fmt.Printf("gpsdload: latency p50 %v p99 %v; shed(429) %d, other-4xx %d, 5xx %d, transport errors %d\n",
 		lp50.Round(time.Microsecond), lp99.Round(time.Microsecond),
 		cnt.shed.Load(), cnt.status4xx.Load(), cnt.status5xx.Load(), cnt.errors.Load())
-	if n := ageSamples.Load(); n > 0 {
-		fmt.Printf("gpsdload: max epoch age %.1fms over %d staleness scrapes\n",
-			math.Float64frombits(maxAgeBits.Load())*1e3, n)
-	}
 
 	if killed.Load() {
 		// The daemon is gone; there is nothing to scrape and failed
@@ -560,7 +421,6 @@ func main() {
 			FindStringSubmatch(text); m != nil {
 			server5xx, _ = strconv.ParseInt(m[1], 10, 64)
 		}
-		shardReport(text)
 	}
 
 	if *requireNo5xx {

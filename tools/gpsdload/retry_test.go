@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/stats"
+	"repro/internal/prom"
 )
 
 // TestBackoffEqualJitterBounds: every sleep lands in (d/2, d] where d
@@ -171,13 +171,11 @@ func TestDoRetryStopAborts(t *testing.T) {
 }
 
 func newTestClient(base string, attempts int) *client {
-	p50, _ := stats.NewP2Quantile(0.5)
-	p99, _ := stats.NewP2Quantile(0.99)
 	return &client{
 		base:  base,
 		hc:    &http.Client{Timeout: 5 * time.Second},
 		cnt:   &counters{},
-		lat:   &latencies{p50: p50, p99: p99},
+		lat:   prom.NewSummary(),
 		retry: newRetrier(attempts, 10*time.Millisecond, 5*time.Second, 99),
 	}
 }
