@@ -96,13 +96,15 @@ benchcheck:
 
 # deltacheck is the incremental-analysis differential gate, uncached
 # and race-enabled: the gpsmath DeltaAnalyzer must stay bit-identical
-# to fresh AnalyzeServer under seeded churn (FuzzDeltaAnalyzer's seed
-# corpus included), the Lemma 6 floor's pruned best-of-routes min must
-# stay bit-identical to the unpruned oracle (and keep firing at gpsd's
-# populations), and the daemon's delta-built epochs must match the
-# direct (ClassifyUnderRate / AdmissionDecision) recomputations.
+# to fresh AnalyzeServer under seeded churn and seeded batches
+# (FuzzDeltaAnalyzer's seed corpus included), the Lemma 6 floor's
+# pruned best-of-routes min must stay bit-identical to the unpruned
+# oracle (and keep firing at gpsd's populations), and the daemon's
+# refresh-built epochs — one refresh per batch, whatever its size —
+# must match the direct (ClassifyUnderRate / AdmissionDecision)
+# recomputations, with a refused publish visible.
 deltacheck:
-	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestDeltaFallback|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor' ./internal/gpsmath ./internal/server
 
 # shardcheck is the sharded-writer differential gate, uncached and
 # race-enabled: the capacity ledger's budget invariant, concurrent

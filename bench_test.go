@@ -1103,6 +1103,93 @@ func benchEpochDelta(b *testing.B, population int) {
 	})
 }
 
+// BenchmarkEpochBatch times the epoch publish after a batch of k
+// decisions, half of them releases, at the shape of each gpsdbench node
+// workload: node-churn's ~1,800-op batches over 10k palette4 sessions,
+// one node-sharded-read shard's 17-op batches over 25k palette64
+// sessions, and node-131k's 3-op batches over 131,072 palette1
+// sessions, all at 75% load. Only the publish is timed; the decisions
+// run with the timer stopped. The self-check is disabled, as in
+// BenchmarkEpochDelta.
+func BenchmarkEpochBatch(b *testing.B) {
+	for _, c := range []struct {
+		palette       string
+		reqs          func(*testing.B) []server.AdmitRequest
+		sessions, ops int
+	}{
+		{"palette4", func(*testing.B) []server.AdmitRequest { return gpsdloadPalette }, 10_000, 1800},
+		{"palette64", func(b *testing.B) []server.AdmitRequest { reqs, _ := shardedBenchPalette(b); return reqs }, 25_000, 17},
+		{"palette1", func(*testing.B) []server.AdmitRequest { return []server.AdmitRequest{epochDeltaReq} }, 131_072, 3},
+	} {
+		b.Run(fmt.Sprintf("%s/sessions-%d/ops-%d", c.palette, c.sessions, c.ops), func(b *testing.B) {
+			benchEpochBatch(b, c.reqs(b), c.sessions, c.ops)
+		})
+	}
+}
+
+func benchEpochBatch(b *testing.B, reqs []server.AdmitRequest, population, ops int) {
+	used := 0.0
+	for k, req := range reqs {
+		g, err := admission.RequiredRate(req.Arrival, req.Target)
+		if err != nil {
+			b.Fatal(err)
+		}
+		used += g * float64(share(population, len(reqs), k))
+	}
+	d, err := server.New(server.Config{
+		Rate:           used / 0.75,
+		QueueDepth:     1 << 14,
+		MaxBatch:       1 << 30,
+		MaxEpochAge:    time.Hour,
+		SelfCheckEvery: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := d.Close(ctx); err != nil {
+			b.Error(err)
+		}
+	})
+	for k, req := range reqs {
+		populateDaemon(b, d, req, share(population, len(reqs), k))
+	}
+	if err := d.Rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	ids := append([]uint64(nil), d.CurrentEpoch().IDs...)
+	rng := source.NewRNG(uint64(population + ops))
+	drainHeap()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < ops; j++ {
+			if j%2 == 0 {
+				res, err := d.Admit(reqs[rng.Intn(len(reqs))])
+				if err != nil || !res.Admitted {
+					b.Fatalf("admit: admitted=%v err=%v", res.Admitted, err)
+				}
+				ids = append(ids, res.ID)
+				continue
+			}
+			k := rng.Intn(len(ids))
+			if ok, err := d.Release(ids[k]); err != nil || !ok {
+				b.Fatalf("release: ok=%v err=%v", ok, err)
+			}
+			ids[k] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+		}
+		b.StartTimer()
+		if err := d.Rebuild(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(b.N), "ms/publish")
+}
+
 // drainHeap runs the collector twice so a previous subbenchmark's
 // million-session heap — epoch shadow backings are finalizer-released,
 // which takes two GC cycles — is gone before the timed loop starts.
@@ -1146,6 +1233,20 @@ func populateDaemon(b *testing.B, d *server.Daemon, req server.AdmitRequest, pop
 	}
 }
 
+// gpsdloadPalette is tools/gpsdload's four service classes, the
+// population of gpsdbench's node-churn workload.
+var gpsdloadPalette = []server.AdmitRequest{
+	{Name: "voice", Arrival: ebb.Process{Rho: 0.05, Lambda: 1, Alpha: 2}, Target: admission.Target{Delay: 20, Eps: 1e-4}},
+	{Name: "video", Arrival: ebb.Process{Rho: 0.30, Lambda: 2, Alpha: 0.8}, Target: admission.Target{Delay: 40, Eps: 1e-3}},
+	{Name: "data", Arrival: ebb.Process{Rho: 0.10, Lambda: 1.5, Alpha: 1.2}, Target: admission.Target{Delay: 80, Eps: 1e-2}},
+	{Name: "bulk", Arrival: ebb.Process{Rho: 0.20, Lambda: 1, Alpha: 0.5}, Target: admission.Target{Delay: 160, Eps: 5e-2}},
+}
+
+// epochDeltaReq is BenchmarkEpochDelta's single session type, the
+// population of gpsdbench's node-131k workload.
+var epochDeltaReq = server.AdmitRequest{Name: "bench",
+	Arrival: ebb.Process{Rho: 0.05, Lambda: 1, Alpha: 1.2}, Target: admission.Target{Delay: 40, Eps: 1e-3}}
+
 // BenchmarkBoundsRead times one default-point bounds read — what GET
 // /v1/bounds/{id} with no query costs a daemon — against a published
 // epoch of 10k and 131k sessions: tools/gpsdload's four service
@@ -1161,12 +1262,7 @@ func BenchmarkBoundsRead(b *testing.B) {
 }
 
 func benchBoundsRead(b *testing.B, population int) {
-	palette := []server.AdmitRequest{
-		{Name: "voice", Arrival: ebb.Process{Rho: 0.05, Lambda: 1, Alpha: 2}, Target: admission.Target{Delay: 20, Eps: 1e-4}},
-		{Name: "video", Arrival: ebb.Process{Rho: 0.30, Lambda: 2, Alpha: 0.8}, Target: admission.Target{Delay: 40, Eps: 1e-3}},
-		{Name: "data", Arrival: ebb.Process{Rho: 0.10, Lambda: 1.5, Alpha: 1.2}, Target: admission.Target{Delay: 80, Eps: 1e-2}},
-		{Name: "bulk", Arrival: ebb.Process{Rho: 0.20, Lambda: 1, Alpha: 0.5}, Target: admission.Target{Delay: 160, Eps: 5e-2}},
-	}
+	palette := gpsdloadPalette
 	used := 0.0
 	for k, req := range palette {
 		g, err := admission.RequiredRate(req.Arrival, req.Target)

@@ -10,7 +10,8 @@ import (
 // holds the session population and the structures AnalyzeServer would
 // rebuild from scratch — the ρ/φ ratios behind the feasible partition
 // (eqs. 37–39) and the feasible ordering of eq. (5) — and patches them
-// under single-session admits and releases instead of re-deriving them.
+// under batches of admits, releases and rate moves instead of
+// re-deriving them.
 //
 // The contract is bit-identity: every Analysis a DeltaAnalyzer produces
 // evaluates every bound to the same Float64bits as a fresh
@@ -26,61 +27,75 @@ import (
 //  2. The ordering comparator (ratioOrder) is a strict total order, so
 //     the sorted permutation is unique: insertion-repairing the
 //     previous epoch's ordering lands on the same permutation a fresh
-//     sort would, element for element.
+//     sort would, element for element. The seed a batch hands the
+//     repair changes its cost, never its result.
 //  3. The per-session bound constructors live behind the shared
 //     partitionMemo/orderingMemo machinery, and the lazy Analysis
 //     accessors construct bounds through the same *Into helpers the
 //     eager path uses — there is no second implementation to drift.
 //
 // What stays O(N): the decomposed rates r_i = ρ_i + slack/N change for
-// every session on every op (slack and N both move), so the rate and
-// ratio fills, the memo prefix/suffix passes, and the feasibility sweep
-// remain lean linear float passes (~a few ms at 131k sessions). What
-// the delta path eliminates is everything superlinear or heavyweight:
-// the O(N log N) sort (repaired in O(N + moves)), the eq. (5)
-// verification pass, and above all the O(N) construction of per-session
-// bound objects and their Θ(N)-cost ordering-route prefactors — the
-// dominant cost of a fresh build. Bounds are constructed lazily, only
-// for the sessions a caller actually evaluates.
+// every session on every refresh (slack and N both move), so the rate
+// and ratio fills, the memo prefix/suffix passes, and the feasibility
+// sweep remain lean linear float passes (~a few ms at 131k sessions),
+// paid once per batch however many ops it holds. What the delta path
+// eliminates is everything superlinear or heavyweight: the O(N log N)
+// sort (repaired in O(N + moves)), the eq. (5) verification pass, and
+// above all the O(N) construction of per-session bound objects and
+// their Θ(N)-cost ordering-route prefactors — the dominant cost of a
+// fresh build. Bounds are constructed lazily, only for the sessions a
+// caller actually evaluates.
 
-// DeltaStats counts what the analyzer did; the daemon exports them as
-// metrics.
+// DeltaStats counts how the analyzer's refreshes fixed the ordering.
 type DeltaStats struct {
-	// Admits and Releases count successfully applied operations.
-	Admits, Releases uint64
 	// OrderRepairs counts refreshes where the bounded insertion repair
 	// fixed the feasible ordering; OrderSorts counts the fallbacks to a
 	// full sort (repair budget exhausted — ratios moved too much).
 	OrderRepairs, OrderSorts uint64
 }
 
-// DeltaAnalyzer maintains an Analysis across single-session admits and
-// releases in O(affected) structural work per operation. It is not
-// goroutine-safe; the intended owner is a single writer (the gpsd
-// rebuild loop) that publishes the returned analyses to readers via
-// epoch snapshots. Returned analyses are immutable and remain valid
+// DeltaAnalyzer maintains an Analysis across session admits, releases
+// and rate moves. Admit, Release and SetRate only stage a change, in
+// O(1) (a batch's first release into the refreshed population copies it
+// once); Refresh turns everything staged since the last refresh into
+// one analysis. It
+// is not goroutine-safe; the intended owner is a single writer (the
+// gpsd shard writer) that publishes the refreshed analyses to readers
+// via epoch snapshots. Returned analyses are immutable and remain valid
 // after further operations: admits extend the session slice
 // append-share style (old epochs see the old length), and releases
-// copy it fresh.
+// into it copy it fresh.
 type DeltaAnalyzer struct {
 	opts Options
-	rate float64
-	// sess is the live population. pRatio[i] = ρ_i/φ_i is maintained
-	// alongside it (same append/swap-remove moves) and feeds the
-	// partition rounds without a per-refresh division pass.
+	// rate, sess and pRatio are the staged population the next Refresh
+	// analyzes. pRatio[i] = ρ_i/φ_i is maintained alongside sess (same
+	// append/swap-remove moves) and feeds the partition rounds without a
+	// per-refresh division pass.
+	rate   float64
 	sess   []Session
 	pRatio []float64
-	an     *Analysis
-	stats  DeltaStats
+	// origin carries the batch's swap-removes into the ordering seed:
+	// origin[i] is the index session i had at the last refresh; one at
+	// or past the last refreshed population marks a session admitted
+	// since. Built at the batch's first release.
+	origin []int
+	owned  bool // sess and pRatio are this batch's private copy
+	// an analyzes last, the population of the last successful refresh;
+	// a refused Refresh restores it.
+	an        *Analysis
+	last      Server
+	lastRatio []float64
+	stats     DeltaStats
 	// ratioScratch backs the r_i/φ_i ordering ratios during a refresh;
-	// nothing epoch-visible retains it, so it is reused across ops.
+	// nothing epoch-visible retains it, so it is reused across batches.
 	ratioScratch []float64
 }
 
 // NewDeltaAnalyzer seeds an analyzer with the server's sessions and
 // computes the initial analysis along the fully verified fresh path
 // (Server.Validate, FeasibleOrdering's eq. (5) check). An empty session
-// slice is permitted — Analysis returns nil until the first admit.
+// slice is permitted — Analysis returns nil until a refresh over a
+// nonempty population.
 func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
 	if opts.SlackFraction == 0 {
 		opts.SlackFraction = 1
@@ -98,149 +113,158 @@ func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
 	for i := range d.sess {
 		d.pRatio[i] = d.sess[i].Arrival.Rho / d.sess[i].Phi
 	}
-	if n == 0 {
-		return d, nil
-	}
-	if err := d.refresh(nil); err != nil {
+	// With no last ordering to seed it, the refresh takes the verified
+	// path.
+	if _, err := d.Refresh(); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// Analysis returns the current analysis (nil when no sessions are
-// admitted). The returned value is immutable; later operations produce
-// new analyses without disturbing it.
+// Analysis returns the last refreshed analysis (nil when that
+// population was empty). The returned value is immutable; later
+// refreshes produce new analyses without disturbing it.
 func (d *DeltaAnalyzer) Analysis() *Analysis { return d.an }
 
-// Len returns the current session count.
+// Len returns the staged session count.
 func (d *DeltaAnalyzer) Len() int { return len(d.sess) }
 
-// Server returns the current server view. The session slice is shared
-// with the analyzer under the append-share discipline: it is valid
-// until the caller's next operation at the returned length.
-func (d *DeltaAnalyzer) Server() Server { return Server{Rate: d.rate, Sessions: d.sess} }
+// Server returns the server the last refresh analyzed. The session
+// slice is shared with the analyzer under the append-share discipline.
+func (d *DeltaAnalyzer) Server() Server { return d.last }
 
-// Stats returns operation counters.
+// Stats returns the refresh counters.
 func (d *DeltaAnalyzer) Stats() DeltaStats { return d.stats }
 
-// Admit appends one session and refreshes the analysis. The new session
-// is validated like Server.Validate would (positive finite φ, valid
-// E.B.B. triple); stability (Σρ < r) is enforced by the refresh. On
-// error the analyzer is left unchanged.
-func (d *DeltaAnalyzer) Admit(s Session) (*Analysis, error) {
+// Admit stages one appended session. The session is validated like
+// Server.Validate would (positive finite φ, valid E.B.B. triple);
+// stability (Σρ < r) is the next Refresh's to enforce. On error nothing
+// is staged.
+func (d *DeltaAnalyzer) Admit(s Session) error {
 	if !(s.Phi > 0) || math.IsInf(s.Phi, 1) || math.IsNaN(s.Phi) {
-		return nil, fmt.Errorf("%w: session %s: phi = %v, want positive finite", ErrInvalidInput, s.Name, s.Phi)
+		return fmt.Errorf("%w: session %s: phi = %v, want positive finite", ErrInvalidInput, s.Name, s.Phi)
 	}
 	if err := s.Arrival.Validate(); err != nil {
-		return nil, fmt.Errorf("gpsmath: session %s: %w", s.Name, err)
+		return fmt.Errorf("gpsmath: session %s: %w", s.Name, err)
 	}
-	prevSess, prevRatio := d.sess, d.pRatio
-	// Append-share: old epochs hold the shorter slice headers; extending
-	// the backing arrays past their length never perturbs them. (A
-	// failed admit that already grew the backing array is harmless for
-	// the same reason — the entry is overwritten by the next append.)
+	// Append-share: published analyses hold shorter slice headers, so
+	// extending the backing arrays past their length never perturbs them.
 	d.sess = append(d.sess, s)
 	d.pRatio = append(d.pRatio, s.Arrival.Rho/s.Phi)
-	var seed []int
-	if d.an != nil {
-		n := len(prevSess)
-		seed = make([]int, n+1)
-		copy(seed, d.an.Ordering)
-		seed[n] = n
+	if d.origin != nil {
+		d.origin = append(d.origin, len(d.last.Sessions))
 	}
-	if err := d.refresh(seed); err != nil {
-		d.sess, d.pRatio = prevSess, prevRatio
-		return nil, err
-	}
-	d.stats.Admits++
-	return d.an, nil
+	return nil
 }
 
-// Release removes the session at index pos by swap-remove — the last
-// session moves into slot pos, matching the daemon's order-array
-// discipline — and refreshes the analysis. Releasing the final session
-// returns (nil, nil) and empties the analyzer. On error the analyzer is
-// left unchanged.
-func (d *DeltaAnalyzer) Release(pos int) (*Analysis, error) {
+// Release stages the removal of the session at index pos by
+// swap-remove — the last session moves into slot pos, matching the
+// daemon's shadow-array discipline. On error nothing is staged.
+func (d *DeltaAnalyzer) Release(pos int) error {
 	n := len(d.sess)
 	if pos < 0 || pos >= n {
-		return nil, fmt.Errorf("%w: release position %d with %d sessions", ErrInvalidInput, pos, n)
+		return fmt.Errorf("%w: release position %d with %d sessions", ErrInvalidInput, pos, n)
+	}
+	if !d.owned && pos < len(d.last.Sessions) {
+		// Published analyses and a refused refresh's rollback read slot
+		// pos: copy the arrays once per batch, with spare capacity that
+		// keeps the admits that follow on the append path. A release at or
+		// past the last refreshed population leaves every slot an
+		// analysis reads alone, the vacated one included: no older
+		// analysis on this backing is longer, since a release below a
+		// refreshed length always copies first.
+		d.sess = append(make([]Session, 0, n+64), d.sess...)
+		d.pRatio = append(make([]float64, 0, n+64), d.pRatio...)
+		d.owned = true
+	}
+	if d.origin == nil && d.an != nil {
+		// The batch's first release starts the carry as the identity over
+		// the last refreshed population.
+		d.origin = make([]int, n, n+64)
+		for i := range d.origin {
+			d.origin[i] = i
+		}
 	}
 	last := n - 1
-	prevSess, prevRatio := d.sess, d.pRatio
-	// Releases mutate interior slots, so old epochs need the old arrays
-	// intact: copy fresh instead of editing in place. The spare capacity
-	// lets the admits that follow extend append-share without paying a
-	// second full-array copy (admit/release churn would otherwise copy
-	// the population twice per cycle).
-	ns := make([]Session, last, last+64)
-	nr := make([]float64, last, last+64)
-	copy(ns, d.sess[:last])
-	copy(nr, d.pRatio[:last])
-	if pos != last {
-		ns[pos] = d.sess[last]
-		nr[pos] = d.pRatio[last]
+	d.sess[pos], d.pRatio[pos] = d.sess[last], d.pRatio[last]
+	d.sess, d.pRatio = d.sess[:last], d.pRatio[:last]
+	if d.origin != nil {
+		d.origin[pos], d.origin = d.origin[last], d.origin[:last]
 	}
-	d.sess, d.pRatio = ns, nr
-	if last == 0 {
-		d.an = nil
-		d.stats.Releases++
-		return nil, nil
-	}
-	// Seed the ordering repair with the previous permutation, dropping
-	// the released session and renaming the moved one (index last is
-	// now index pos).
-	seed := make([]int, 0, last)
-	for _, v := range d.an.Ordering {
-		if v == pos {
-			continue
-		}
-		if v == last {
-			v = pos
-		}
-		seed = append(seed, v)
-	}
-	if err := d.refresh(seed); err != nil {
-		d.sess, d.pRatio = prevSess, prevRatio
-		return nil, err
-	}
-	d.stats.Releases++
-	return d.an, nil
+	return nil
 }
 
-// SetRate changes the service rate the analyzer computes under and
-// refreshes the analysis at the unchanged population. Every
-// rate-dependent structure — decomposed rates, ordering ratios, the
-// partition thresholds, the memo prefix/suffix passes — is recomputed
-// by the refresh, so the resulting analysis is bit-identical to a
-// fresh AnalyzeServer over the same sessions at the new rate (the
-// differential test pins this). The daemon's sharded writer uses it
-// when the cross-shard ledger grows or shrinks a shard's capacity
-// slice: a capacity move costs one refresh, not a full rebuild. On
-// error the analyzer is left at the old rate, unchanged.
+// SetRate stages a new service rate. Every rate-dependent structure —
+// decomposed rates, ordering ratios, the partition thresholds, the memo
+// prefix/suffix passes — is recomputed by the next Refresh, so its
+// analysis is bit-identical to a fresh AnalyzeServer over the same
+// sessions at the new rate (the differential test pins this). The
+// daemon's sharded writer uses it when the cross-shard ledger grows or
+// shrinks a shard's capacity slice: a capacity move rides the batch's
+// one refresh, not a full rebuild. An invalid rate is refused here and
+// stages nothing; an infeasible one is refused by Refresh.
 func (d *DeltaAnalyzer) SetRate(rate float64) error {
 	if !(rate > 0) || math.IsInf(rate, 1) || math.IsNaN(rate) {
 		return fmt.Errorf("%w: server rate = %v, want positive finite", ErrInvalidInput, rate)
 	}
-	if math.Float64bits(rate) == math.Float64bits(d.rate) {
-		return nil
-	}
-	prev := d.rate
 	d.rate = rate
+	return nil
+}
+
+// Refresh analyzes the staged population — everything staged since the
+// last refresh, in one pass — and returns the analysis (nil for an
+// empty population). A refused refresh — the staged population is not
+// stable at the staged rate — returns the analyzer to its last
+// refreshed state, discarding the batch.
+func (d *DeltaAnalyzer) Refresh() (*Analysis, error) {
+	var err error
 	if len(d.sess) == 0 {
+		d.an = nil
+	} else {
+		err = d.refresh(d.seed())
+	}
+	d.origin, d.owned = nil, false
+	if err != nil {
+		d.rate, d.sess, d.pRatio = d.last.Rate, d.last.Sessions, d.lastRatio
+		return nil, err
+	}
+	d.last, d.lastRatio = Server{Rate: d.rate, Sessions: d.sess}, d.pRatio
+	return d.an, nil
+}
+
+// seed is the ordering repair's starting permutation: the last
+// refreshed ordering carried through the batch's swap-removes, with the
+// sessions admitted since appended at the end. nil — the verified
+// path — when there is no last ordering.
+func (d *DeltaAnalyzer) seed() []int {
+	if d.an == nil {
 		return nil
 	}
-	var seed []int
-	if d.an != nil {
-		// The population did not change, so the previous permutation is a
-		// near-sorted candidate: only the slack shift nudges ratios.
-		seed = append(make([]int, 0, len(d.an.Ordering)), d.an.Ordering...)
+	seed := make([]int, 0, len(d.sess))
+	if d.origin == nil {
+		seed = append(seed, d.an.Ordering...)
+		for i := len(d.an.Ordering); i < len(d.sess); i++ {
+			seed = append(seed, i)
+		}
+		return seed
 	}
-	if err := d.refresh(seed); err != nil {
-		d.rate = prev
-		return err
+	// now[j] is one past the index last-refresh session j holds today,
+	// or 0 once released.
+	now := make([]int, len(d.an.Ordering))
+	var fresh []int
+	for i, j := range d.origin {
+		if j >= len(now) {
+			fresh = append(fresh, i)
+		} else {
+			now[j] = i + 1
+		}
 	}
-	return nil
+	for _, j := range d.an.Ordering {
+		if now[j] > 0 {
+			seed = append(seed, now[j]-1)
+		}
+	}
+	return append(seed, fresh...)
 }
 
 // refresh rebuilds the analysis for the current session slice. A nil

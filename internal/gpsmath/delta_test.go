@@ -1,6 +1,7 @@
 package gpsmath
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -133,15 +134,19 @@ func compareBounds(t *testing.T, tag string, got, want *Analysis, i int) {
 	}
 }
 
-// churnStep applies one random op to the analyzer and the mirror
-// population, mimicking the daemon's swap-remove discipline. It returns
-// the analysis if the op was applied (nil if rejected or emptied).
+// churnStep stages one random op on the analyzer and the mirror
+// population, mimicking the daemon's swap-remove discipline, and
+// refreshes. It returns the analysis if the op was applied (nil if
+// emptied); a refused op leaves both at the last refresh.
 func churnStep(rng *source.RNG, d *DeltaAnalyzer, mirror *[]Session, nMin, nMax int) (*Analysis, error) {
 	n := len(*mirror)
 	admit := n < nMin || (n < nMax && rng.Float64() < 0.5)
 	if admit {
 		s := churnSession(rng)
-		an, err := d.Admit(s)
+		if err := d.Admit(s); err != nil {
+			return nil, err
+		}
+		an, err := d.Refresh()
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +154,10 @@ func churnStep(rng *source.RNG, d *DeltaAnalyzer, mirror *[]Session, nMin, nMax 
 		return an, nil
 	}
 	pos := rng.Intn(n)
-	an, err := d.Release(pos)
+	if err := d.Release(pos); err != nil {
+		return nil, err
+	}
+	an, err := d.Refresh()
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +303,126 @@ func TestDeltaChurnLong(t *testing.T) {
 	t.Logf("ops=%d rejected=%d maxL=%d classFlips=%d stats=%+v", ops, rejected, maxL, classFlips, st)
 }
 
+// TestDeltaBatchesMatchFresh records seeded batches of admits,
+// releases and SetRate moves — from one op up to twice the population —
+// on the churn palette and on gpsd's palette4 and palette64
+// populations, and pins every Refresh to a fresh AnalyzeServer over the
+// same session slice: structure and sampled bounds bit for bit, and one
+// ordering repair or sort per batch. A refused batch (one staged admit
+// overloads the link) must leave the analyzer at its last refresh, and
+// the batches after it must still match.
+func TestDeltaBatchesMatchFresh(t *testing.T) {
+	type population struct {
+		name string
+		srv  Server
+		draw func(*source.RNG) Session
+	}
+	fromPalette := func(name string, palette []benchType, n int) population {
+		// Draw admits from a second population of the same palette, so
+		// they carry the same required-rate weights.
+		srv, _ := gpsdServer(t, palette, 3*n, 0.5, uint64(n))
+		pool := srv.Sessions[n:]
+		srv.Sessions = srv.Sessions[:n:n]
+		return population{name, srv, func(rng *source.RNG) Session { return pool[rng.Intn(len(pool))] }}
+	}
+	churn := Server{Rate: 60}
+	rng := source.NewRNG(17)
+	for i := 0; i < 24; i++ {
+		churn.Sessions = append(churn.Sessions, churnSession(rng))
+	}
+	pops := []population{
+		{"churnPalette", churn, churnSession},
+		fromPalette("palette4", palette4, 120),
+		fromPalette("palette64", palette64, 120),
+	}
+	rounds := 4
+	if raceEnabled || testing.Short() {
+		rounds = 2
+	}
+	opts := Options{Independent: true, Xi: XiOptimal}
+	for _, pop := range pops {
+		t.Run(pop.name, func(t *testing.T) {
+			d, err := NewDeltaAnalyzer(pop.srv, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rate0, rate := pop.srv.Rate, pop.srv.Rate
+			n0 := len(pop.srv.Sessions)
+			mirror := append([]Session(nil), pop.srv.Sessions...)
+			rng := source.NewRNG(uint64(n0) + 99)
+			check := func(tag string, an *Analysis) {
+				t.Helper()
+				fresh, err := AnalyzeServer(Server{Rate: rate, Sessions: mirror}, opts)
+				if err != nil {
+					t.Fatalf("%s: fresh AnalyzeServer: %v", tag, err)
+				}
+				compareStructure(t, tag, an, fresh)
+				for k := 0; k < 4; k++ {
+					compareBounds(t, tag, an, fresh, rng.Intn(len(mirror)))
+				}
+			}
+			batch := func(ops int) {
+				for k := 0; k < ops; k++ {
+					switch n := len(mirror); {
+					case rng.Float64() < 0.05:
+						rate = rate0 * (0.9 + 0.3*rng.Float64())
+						if err := d.SetRate(rate); err != nil {
+							t.Fatal(err)
+						}
+					case n < n0/2 || (n < 3*n0/2 && rng.Float64() < 0.5):
+						s := pop.draw(rng)
+						if err := d.Admit(s); err != nil {
+							t.Fatal(err)
+						}
+						mirror = append(mirror, s)
+					default:
+						pos := rng.Intn(n)
+						if err := d.Release(pos); err != nil {
+							t.Fatal(err)
+						}
+						mirror[pos] = mirror[n-1]
+						mirror = mirror[:n-1]
+					}
+				}
+			}
+			for r := 0; r < rounds; r++ {
+				for _, ops := range []int{1, 1 + rng.Intn(8), 1 + rng.Intn(len(mirror)), 2 * len(mirror)} {
+					tag := fmt.Sprintf("round %d batch of %d", r, ops)
+					st := d.Stats()
+					batch(ops)
+					an, err := d.Refresh()
+					if err != nil {
+						t.Fatalf("%s: refresh: %v", tag, err)
+					}
+					if got := d.Stats(); got.OrderRepairs+got.OrderSorts != st.OrderRepairs+st.OrderSorts+1 {
+						t.Fatalf("%s: %d ordering repairs+sorts, want one", tag,
+							got.OrderRepairs+got.OrderSorts-st.OrderRepairs-st.OrderSorts)
+					}
+					check(tag, an)
+				}
+				// The refused batch: releases, a rate move, then an admit
+				// no rate in reach can carry.
+				prev, base, prevRate := d.Analysis(), append([]Session(nil), mirror...), rate
+				batch(5)
+				huge := Session{Name: "huge", Phi: 1, Arrival: ebb.Process{Rho: 10 * rate0, Lambda: 1, Alpha: 1}}
+				if err := d.Admit(huge); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d.Refresh(); err == nil {
+					t.Fatalf("round %d: overloaded batch refreshed", r)
+				}
+				if d.Analysis() != prev || d.Len() != len(base) || !sameBits(d.Server().Rate, prevRate) {
+					t.Fatalf("round %d: refused batch moved the analyzer (%d sessions, rate %v)", r, d.Len(), d.Server().Rate)
+				}
+				mirror, rate = base, prevRate
+			}
+		})
+	}
+}
+
 // TestDeltaAnalyzerEdges covers the empty analyzer, rejection of invalid
-// sessions, draining to empty, and out-of-range releases.
+// sessions, a refused refresh, draining to empty, and out-of-range
+// releases.
 func TestDeltaAnalyzerEdges(t *testing.T) {
 	opts := Options{Independent: true, Xi: XiOptimal}
 	d, err := NewDeltaAnalyzer(Server{Rate: 10}, opts)
@@ -306,32 +432,39 @@ func TestDeltaAnalyzerEdges(t *testing.T) {
 	if d.Analysis() != nil || d.Len() != 0 {
 		t.Fatal("empty analyzer should have nil analysis")
 	}
-	if _, err := d.Release(0); err == nil {
+	if err := d.Release(0); err == nil {
 		t.Fatal("release on empty analyzer must fail")
 	}
-	if _, err := d.Admit(Session{Name: "bad", Phi: 0, Arrival: ebb.Process{Rho: 1, Lambda: 1, Alpha: 1}}); err == nil {
+	if err := d.Admit(Session{Name: "bad", Phi: 0, Arrival: ebb.Process{Rho: 1, Lambda: 1, Alpha: 1}}); err == nil {
 		t.Fatal("phi = 0 must be rejected")
 	}
-	if _, err := d.Admit(Session{Name: "bad", Phi: 1, Arrival: ebb.Process{Rho: -1, Lambda: 1, Alpha: 1}}); err == nil {
+	if err := d.Admit(Session{Name: "bad", Phi: 1, Arrival: ebb.Process{Rho: -1, Lambda: 1, Alpha: 1}}); err == nil {
 		t.Fatal("invalid arrival must be rejected")
 	}
 	s := churnPalette()[0]
-	if _, err := d.Admit(s); err != nil {
+	if err := d.Admit(s); err != nil {
 		t.Fatalf("first admit: %v", err)
 	}
-	if d.Len() != 1 || d.Analysis() == nil {
-		t.Fatal("admit did not populate the analyzer")
+	an, err := d.Refresh()
+	if err != nil || an == nil || d.Len() != 1 || d.Analysis() != an {
+		t.Fatalf("admit did not populate the analyzer: an=%v err=%v", an, err)
 	}
-	// Overload: ρ = 11 > slack.
-	if _, err := d.Admit(Session{Name: "huge", Phi: 1, Arrival: ebb.Process{Rho: 11, Lambda: 1, Alpha: 1}}); err == nil {
-		t.Fatal("overloading admit must be rejected")
+	// Overload: ρ = 11 > slack. Staging accepts it; the refresh refuses
+	// and returns to the last refreshed state.
+	if err := d.Admit(Session{Name: "huge", Phi: 1, Arrival: ebb.Process{Rho: 11, Lambda: 1, Alpha: 1}}); err != nil {
+		t.Fatalf("staging a valid session: %v", err)
 	}
-	if d.Len() != 1 {
-		t.Fatalf("rejected admit changed the population to %d", d.Len())
+	if _, err := d.Refresh(); err == nil {
+		t.Fatal("overloading admit must be refused")
 	}
-	an, err := d.Release(0)
-	if err != nil || an != nil {
-		t.Fatalf("draining release: an=%v err=%v", an, err)
+	if d.Len() != 1 || d.Analysis() != an {
+		t.Fatalf("refused refresh changed the analyzer: %d sessions", d.Len())
+	}
+	if err := d.Release(0); err != nil {
+		t.Fatalf("draining release: %v", err)
+	}
+	if an, err := d.Refresh(); err != nil || an != nil {
+		t.Fatalf("draining refresh: an=%v err=%v", an, err)
 	}
 	if d.Len() != 0 || d.Analysis() != nil {
 		t.Fatal("analyzer not empty after draining release")
@@ -341,10 +474,12 @@ func TestDeltaAnalyzerEdges(t *testing.T) {
 	}
 }
 
-// FuzzDeltaAnalyzer interleaves admits and releases decoded from the
-// fuzz input and asserts bit-identity against fresh AnalyzeServer after
-// every op, and of every served Best* value against the unpruned
-// best-of-routes oracle.
+// FuzzDeltaAnalyzer stages admits and releases decoded from the fuzz
+// input and refreshes wherever a byte sets the batch-boundary bit
+// (0x10) and after the last byte, so the fuzzer chooses the batches. It
+// asserts bit-identity against fresh AnalyzeServer after every refresh,
+// and of every served Best* value against the unpruned best-of-routes
+// oracle; a refused batch must leave the analyzer at its last refresh.
 func FuzzDeltaAnalyzer(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x83, 0x10, 0xff, 0x07, 0x20, 0x91})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x80, 0x80, 0x80, 0x10, 0x10, 0x10, 0x10})
@@ -358,39 +493,51 @@ func FuzzDeltaAnalyzer(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mirror []Session
+		// mirror is the staged population, base the last refreshed one.
+		var mirror, base []Session
 		palette := churnPalette()
-		for _, b := range data {
-			var an *Analysis
+		for k, b := range data {
 			if b&0x80 == 0 || len(mirror) == 0 {
 				s := palette[int(b>>5)&0x3]
 				// Derive a deterministic jitter from the byte so the fuzzer
 				// can explore near-collisions of the sort ratios.
-				s.Arrival.Rho *= 1 + float64(b&0x1f)/512
-				an, err = d.Admit(s)
-				if err != nil {
-					continue
+				s.Arrival.Rho *= 1 + float64(b&0x0f)/256
+				if err := d.Admit(s); err != nil {
+					t.Fatalf("admit: %v", err)
 				}
 				mirror = append(mirror, s)
 			} else {
 				pos := int(b&0x7f) % len(mirror)
-				an, err = d.Release(pos)
-				if err != nil {
+				if err := d.Release(pos); err != nil {
 					t.Fatalf("release %d/%d: %v", pos, len(mirror), err)
 				}
 				last := len(mirror) - 1
 				mirror[pos] = mirror[last]
 				mirror = mirror[:last]
 			}
+			if b&0x10 == 0 && k < len(data)-1 {
+				continue
+			}
+			prev := d.Analysis()
+			an, err := d.Refresh()
+			if err != nil {
+				if d.Len() != len(base) || d.Analysis() != prev {
+					t.Fatalf("refused batch moved the analyzer to %d sessions (last refresh %d)", d.Len(), len(base))
+				}
+				mirror = append(mirror[:0:0], base...)
+				an = prev
+			} else {
+				base = append(base[:0:0], mirror...)
+			}
 			if an == nil {
 				continue
 			}
-			fresh, err := AnalyzeServer(Server{Rate: rate, Sessions: mirror}, opts)
+			fresh, err := AnalyzeServer(Server{Rate: rate, Sessions: base}, opts)
 			if err != nil {
 				t.Fatalf("fresh AnalyzeServer: %v", err)
 			}
 			compareStructure(t, "fuzz", an, fresh)
-			for i := range mirror {
+			for i := range base {
 				compareBounds(t, "fuzz", an, fresh, i)
 				checkOracle(t, "fuzz", an, i, []float64{0.5, 4, 32}, []float64{0.5, 4, 32})
 			}

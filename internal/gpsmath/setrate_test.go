@@ -36,13 +36,17 @@ func TestDeltaSetRateMatchesFresh(t *testing.T) {
 			if err := d.SetRate(rate); err != nil {
 				t.Fatalf("SetRate(%v): %v", rate, err)
 			}
+			an, err := d.Refresh()
+			if err != nil {
+				t.Fatalf("refresh at rate %v: %v", rate, err)
+			}
 			fresh, err := AnalyzeServer(Server{Rate: rate, Sessions: mirror}, opts)
 			if err != nil {
 				t.Fatalf("fresh AnalyzeServer at rate %v: %v", rate, err)
 			}
-			compareStructure(t, "setrate", d.Analysis(), fresh)
+			compareStructure(t, "setrate", an, fresh)
 			for i := range mirror {
-				compareBounds(t, "setrate", d.Analysis(), fresh, i)
+				compareBounds(t, "setrate", an, fresh, i)
 			}
 			// Interleave churn so the next retune starts from a repaired
 			// ordering, not a pristine one.
@@ -83,8 +87,14 @@ func TestDeltaSetRateRejectsAndRollsBack(t *testing.T) {
 	for _, s := range mirror {
 		sumRho += s.Arrival.Rho
 	}
-	if err := d.SetRate(sumRho * 0.5); err == nil {
-		t.Fatalf("SetRate(%v) under Σρ=%v accepted", sumRho*0.5, sumRho)
+	if err := d.SetRate(sumRho * 0.5); err != nil {
+		t.Fatalf("SetRate(%v) refused a valid rate: %v", sumRho*0.5, err)
+	}
+	if _, err := d.Refresh(); err == nil {
+		t.Fatalf("refresh at rate %v under Σρ=%v accepted", sumRho*0.5, sumRho)
+	}
+	if got := d.Server().Rate; got != rate {
+		t.Fatalf("refused refresh left the rate at %v, want %v", got, rate)
 	}
 	fresh, err := AnalyzeServer(Server{Rate: rate, Sessions: mirror}, opts)
 	if err != nil {

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -70,6 +74,15 @@ func checkEpochAgainstDirect(t *testing.T, d *Daemon, ep *Epoch) {
 	if met != ep.TargetsMet {
 		t.Fatalf("epoch %d: TargetsMet %d, direct AdmissionDecision says %d",
 			ep.Seq, ep.TargetsMet, met)
+	}
+	// The sorted id index must invert IDs exactly.
+	if len(ep.idsSorted) != n || len(ep.posSorted) != n {
+		t.Fatalf("epoch %d: sorted index holds %d/%d entries, want %d", ep.Seq, len(ep.idsSorted), len(ep.posSorted), n)
+	}
+	for i, id := range ep.IDs {
+		if j, ok := ep.IndexOf(id); !ok || j != i {
+			t.Fatalf("epoch %d: IndexOf(%d) = %d, %v, want %d", ep.Seq, id, j, ok, i)
+		}
 	}
 	// Published analysis must be the fresh analysis bit for bit.
 	for i := 0; i < n; i++ {
@@ -207,30 +220,159 @@ func TestSelfCheckRuns(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbackOnLargeBatch checks the configurable fallback: a
-// pending batch beyond DeltaMaxOps takes the from-scratch path.
-func TestDeltaFallbackOnLargeBatch(t *testing.T) {
-	d := newTestDaemon(t, Config{Rate: 80, MaxEpochAge: time.Hour, MaxBatch: 1 << 30, DeltaMaxOps: 8})
-	full0 := d.met.FullRebuilds.Load()
-	for k := 0; k < 12; k++ {
-		admitType(t, d, k)
+// TestDeltaBatchLargerThanPopulation publishes a batch of admits and
+// releases larger than the population it lands on: the analyzer
+// carries it in one refresh — one ordering repair or sort, no
+// from-scratch rebuild — and the epoch matches the direct
+// recomputations.
+func TestDeltaBatchLargerThanPopulation(t *testing.T) {
+	d := newTestDaemon(t, Config{Rate: 80, MaxEpochAge: time.Hour, MaxBatch: 1 << 30})
+	var ids []uint64
+	for k := 0; k < 6; k++ {
+		ids = append(ids, admitType(t, d, k))
+	}
+	forceRebuild(t, d)
+	orderings := func() uint64 {
+		var n uint64
+		if err := d.exec(func() { st := d.delta.Stats(); n = st.OrderRepairs + st.OrderSorts }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	full0, ord0 := d.met.FullRebuilds.Load(), orderings()
+	rng := rand.New(rand.NewSource(7))
+	for op := 0; op < 16; op++ {
+		if op%3 != 2 {
+			ids = append(ids, admitType(t, d, rng.Intn(len(testTypes))))
+			continue
+		}
+		k := rng.Intn(len(ids))
+		if ok, err := d.Release(ids[k]); err != nil || !ok {
+			t.Fatalf("release: ok=%v err=%v", ok, err)
+		}
+		ids[k] = ids[len(ids)-1]
+		ids = ids[:len(ids)-1]
 	}
 	ep := forceRebuild(t, d)
-	if ep.Delta {
-		t.Error("12-op batch with DeltaMaxOps=8 rode the delta path")
-	}
-	if d.met.FullRebuilds.Load() == full0 {
-		t.Error("fallback did not run a full rebuild")
-	}
-	checkEpochAgainstDirect(t, d, ep)
-	// A small follow-up batch goes incremental again off the reseeded
-	// analyzer.
-	admitType(t, d, 1)
-	ep = forceRebuild(t, d)
 	if !ep.Delta {
-		t.Error("single-op batch after reseed did not ride the delta path")
+		t.Error("16-op batch over 6 sessions did not publish through the analyzer")
+	}
+	if full := d.met.FullRebuilds.Load(); full != full0 {
+		t.Errorf("full rebuilds went %d -> %d", full0, full)
+	}
+	if got := orderings() - ord0; got != 1 {
+		t.Errorf("batch took %d ordering repairs+sorts, want 1", got)
+	}
+	if ep.Sessions() != len(ids) {
+		t.Fatalf("epoch has %d sessions, want %d", ep.Sessions(), len(ids))
 	}
 	checkEpochAgainstDirect(t, d, ep)
+}
+
+// TestIndexBatchesUnderChurn publishes seeded batches of 1 to 40 ops
+// over populations that swing between empty and ~30 sessions, so
+// releases move sessions below the batch's low-water mark, sometimes
+// twice, and pins every epoch's sorted index and counts to the direct
+// recomputations.
+func TestIndexBatchesUnderChurn(t *testing.T) {
+	d := newTestDaemon(t, Config{Rate: 80, MaxEpochAge: time.Hour, MaxBatch: 1 << 30})
+	rng := rand.New(rand.NewSource(2026))
+	var ids []uint64
+	for batch := 0; batch < 40; batch++ {
+		for op := 1 + rng.Intn(40); op > 0; op-- {
+			if len(ids) == 0 || (len(ids) < 30 && rng.Intn(2) == 0) {
+				ids = append(ids, admitType(t, d, rng.Intn(len(testTypes))))
+				continue
+			}
+			k := rng.Intn(len(ids))
+			if ok, err := d.Release(ids[k]); err != nil || !ok {
+				t.Fatalf("release: ok=%v err=%v", ok, err)
+			}
+			ids[k] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+		}
+		ep := forceRebuild(t, d)
+		if ep.Sessions() != len(ids) {
+			t.Fatalf("batch %d: epoch has %d sessions, want %d", batch, ep.Sessions(), len(ids))
+		}
+		checkEpochAgainstDirect(t, d, ep)
+	}
+	if f := d.met.FullRebuilds.Load(); f != 1 {
+		t.Errorf("%d full rebuilds, want only the boot one", f)
+	}
+}
+
+// TestFailedPublishIsVisible drops a shard's capacity below its Σρ, so
+// both the analyzer refresh and the verified constructor refuse the
+// population: Rebuild must return the refusal, Health and /healthz
+// must read degraded, and the failure counter must move — until the
+// capacity comes back and a publish succeeds.
+func TestFailedPublishIsVisible(t *testing.T) {
+	s := newTestSharded(t, Config{Rate: 60, MaxEpochAge: time.Hour, MaxBatch: 1 << 30}, 1)
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	for k := 0; k < 16; k++ {
+		if res, err := s.Admit(testTypes[k%len(testTypes)]); err != nil || !res.Admitted {
+			t.Fatalf("admit %d: admitted=%v err=%v", k, res.Admitted, err)
+		}
+	}
+	if err := s.Rebuild(); err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	d := s.Shard(0)
+	healthz := func() string {
+		t.Helper()
+		r, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Body.Close()
+		var body map[string]any
+		if err := json.NewDecoder(r.Body).Decode(&body); err != nil || r.StatusCode != http.StatusOK {
+			t.Fatalf("healthz: status %d, decode %v", r.StatusCode, err)
+		}
+		return body["status"].(string)
+	}
+	setCapacity := func(c float64) {
+		t.Helper()
+		if err := d.exec(func() { d.capacity, d.capDirty = c, true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	capacity := d.Capacity()
+	seq, fails := d.CurrentEpoch().Seq, d.met.RebuildFailures.Load()
+	sumRho := 0.0
+	for _, sess := range d.CurrentEpoch().Server.Sessions {
+		sumRho += sess.Arrival.Rho
+	}
+	setCapacity(sumRho / 2)
+	err := s.Rebuild()
+	if !errors.Is(err, ErrPublish) || !errors.Is(err, gpsmath.ErrOverloaded) {
+		t.Fatalf("rebuild under Σρ: err = %v, want ErrPublish wrapping ErrOverloaded", err)
+	}
+	if !s.Health().Degraded || !d.Health().Degraded {
+		t.Error("Health not degraded after a failed publish")
+	}
+	if got := healthz(); got != "degraded" {
+		t.Errorf("healthz status %q, want degraded", got)
+	}
+	if got := d.met.RebuildFailures.Load(); got != fails+1 {
+		t.Errorf("rebuild failures %d, want %d", got, fails+1)
+	}
+	if got := d.CurrentEpoch().Seq; got != seq {
+		t.Errorf("failed publish moved the epoch %d -> %d", seq, got)
+	}
+	setCapacity(capacity)
+	if err := s.Rebuild(); err != nil {
+		t.Fatalf("rebuild after restoring capacity: %v", err)
+	}
+	if s.Health().Degraded {
+		t.Error("Health still degraded after a successful publish")
+	}
+	if got := healthz(); got != "ok" {
+		t.Errorf("healthz status %q after recovery, want ok", got)
+	}
+	checkEpochAgainstDirect(t, d, d.CurrentEpoch())
 }
 
 // TestBoundsForSharedEvaluation pins BoundsFor's single evaluation at

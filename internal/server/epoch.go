@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"time"
 
@@ -53,8 +54,8 @@ type Epoch struct {
 	// every session Guaranteed; a nonzero Degraded or Infeasible count
 	// means the invariant broke and is surfaced through /metrics.
 	Guaranteed, Degraded, Infeasible int
-	// Delta reports whether this epoch was built by the incremental
-	// path (false: full rebuild from the writer's session map).
+	// Delta reports whether this epoch was built by an analyzer refresh
+	// (false: by the verified constructor).
 	Delta bool
 }
 
@@ -65,7 +66,7 @@ func (ep *Epoch) Sessions() int { return len(ep.IDs) }
 // (IDs, Targets, Server.Sessions), or false if the id is not in this
 // epoch. Binary search over the sorted id array.
 func (ep *Epoch) IndexOf(id uint64) (int, bool) {
-	k := sort.Search(len(ep.idsSorted), func(j int) bool { return ep.idsSorted[j] >= id })
+	k := searchID(ep.idsSorted, id)
 	if k < len(ep.idsSorted) && ep.idsSorted[k] == id {
 		return ep.posSorted[k], true
 	}
@@ -79,53 +80,39 @@ func validateRate(rate float64) error {
 	return nil
 }
 
-// rebuild publishes a fresh epoch from the writer's live state. The
-// pending ops since the last publish are replayed through the
-// incremental analyzer when there are few of them relative to the
-// population (O(affected) work per op); otherwise — or when the delta
-// path desyncs — the epoch is rebuilt from scratch and the analyzer
-// reseeded. Either path publishes bit-identical analyses; the periodic
-// self-check enforces that at runtime.
-func (d *Daemon) rebuild() {
+// rebuild publishes a fresh epoch from the writer's live state: one
+// analyzer refresh over everything decided since the last publish, or
+// the verified constructor where there is no analyzer. Either path
+// publishes bit-identical analyses; the periodic self-check enforces
+// that at runtime. A refused analysis keeps the previous epoch
+// published and comes back wrapped in ErrPublish.
+func (d *Daemon) rebuild() error {
 	start := time.Now()
-	seq := d.epoch.Load().Seq + 1
 	if d.capDirty {
 		// The ledger moved this shard's capacity slice since the last
-		// publish. SetRate refreshes every rate-dependent structure in
-		// place (bit-identical to a fresh analyzer at the new capacity);
-		// on failure the analyzer is dropped and the full path reseeds.
-		// The cross-epoch eval memo keys on per-session geometry that the
+		// publish. SetRate stages it into the batch's one refresh
+		// (bit-identical to a fresh analyzer at the new capacity); a rate
+		// it refuses — a zero-capacity shard — drops the analyzer. The
+		// cross-epoch eval memo keys on per-session geometry that the
 		// capacity shift invalidates wholesale, so it is flushed.
 		d.capDirty = false
-		if d.delta != nil {
-			if err := d.delta.SetRate(d.capacity); err != nil {
-				d.delta = nil
-			}
+		if d.delta != nil && d.delta.SetRate(d.capacity) != nil {
+			d.delta = nil
 		}
 		d.evalCache = nil
 	}
-	var ep *Epoch
-	if d.deltaEligible() {
-		ep = d.buildEpochDelta(seq)
-		if ep == nil {
-			d.met.DeltaFallbacks.Add(1)
-		}
-	}
-	if ep == nil {
-		ep = d.buildEpochFull(seq)
-	}
-	if ep == nil {
-		// Analysis failed; keep serving the previous epoch rather than
-		// publish a snapshot with no bounds. The analyzer is dropped
-		// with the pending ops: replaying only future ops onto it would
-		// desync it from the live population.
-		d.delta = nil
+	ep, err := d.buildEpoch(d.epoch.Load().Seq + 1)
+	d.lastRebuild = time.Now()
+	d.opsSince = 0
+	if err != nil {
+		// Keep serving the previous epoch rather than publish a snapshot
+		// with no bounds; the writer stays dirty, so the next tick
+		// retries through the verified constructor.
 		d.met.RebuildFailures.Add(1)
-		d.lastRebuild = time.Now()
-		d.opsSince = 0
-		d.pending = d.pending[:0]
-		return
+		d.degraded.Store(true)
+		return fmt.Errorf("%w: shard %d: %w", ErrPublish, d.slot.id, err)
 	}
+	d.degraded.Store(false)
 	if ep.Delta {
 		d.deltaBuilds++
 		if d.cfg.SelfCheckEvery > 0 && d.deltaBuilds%d.cfg.SelfCheckEvery == 0 {
@@ -140,163 +127,100 @@ func (d *Daemon) rebuild() {
 	dur := time.Since(start)
 	d.met.RebuildNanos.Add(dur.Nanoseconds())
 	d.met.ObserveRebuild(dur)
-	d.pending = d.pending[:0]
-	d.lastRebuild = time.Now()
-	d.opsSince = 0
 	d.dirty = false
+	return nil
 }
 
-// deltaMaxFraction caps a delta batch as a fraction of the session
-// count, so small populations do not replay op-by-op what one small
-// rebuild would cover (floor of 8 ops either way).
-const deltaMaxFraction = 0.25
-
-// deltaEligible decides whether the pending op batch is small enough
-// for replay through the incremental analyzer: each replayed op costs
-// O(N) lean float passes, so past a fraction of the population a single
-// from-scratch build is cheaper.
-func (d *Daemon) deltaEligible() bool {
-	if d.delta == nil || len(d.pending) == 0 {
-		return false
-	}
-	lim := int(deltaMaxFraction*float64(len(d.order))) + 1
-	if lim < 8 {
-		lim = 8
-	}
-	if lim > d.cfg.DeltaMaxOps {
-		lim = d.cfg.DeltaMaxOps
-	}
-	return len(d.pending) <= lim
-}
-
-// buildEpochDelta replays the pending ops through the incremental
-// analyzer and the shadow arrays. A nil return means an op was refused
-// (cannot happen while the admission invariant holds); the analyzer is
-// dropped so the caller's full rebuild reseeds everything
-// consistently.
-func (d *Daemon) buildEpochDelta(seq uint64) *Epoch {
-	for _, po := range d.pending {
-		if po.admit {
-			rec := po.rec
-			if _, err := d.delta.Admit(gpsmath.Session{Name: rec.Name, Phi: rec.G, Arrival: rec.Arrival}); err != nil {
-				d.delta = nil
-				return nil
-			}
-			d.shadowAdmit(rec)
-		} else {
-			if _, err := d.delta.Release(po.pos); err != nil {
-				d.delta = nil
-				return nil
-			}
-			d.shadowRelease(po.pos, po.rec.ID)
+// buildEpoch brings the sorted id index up to the writer's population
+// and analyzes it: one Refresh of the analyzer over the batch, or —
+// where there is no analyzer (boot and recovery, a refused refresh, a
+// self-check mismatch, a zero-capacity shard) — the verified
+// constructor over the shadow arrays.
+func (d *Daemon) buildEpoch(seq uint64) (*Epoch, error) {
+	d.indexBatch()
+	if d.delta != nil {
+		if _, err := d.delta.Refresh(); err == nil {
+			return d.finishEpoch(seq, true), nil
 		}
+		d.delta = nil
+		d.met.DeltaFallbacks.Add(1)
 	}
-	return d.finishEpoch(seq, true)
-}
-
-// buildEpochFull rebuilds the shadow arrays and the incremental
-// analyzer from the writer's session map. A nil return means the
-// analysis rejected the set (cannot happen while the admission
-// invariant holds, but never publish an unanalyzed epoch).
-func (d *Daemon) buildEpochFull(seq uint64) *Epoch {
-	n := len(d.order)
-	old := d.shadow
-	b := acquireShadow(n)
-	d.shadow = b
-	if old != nil {
-		old.release()
-	}
-	d.shIDs = b.ids[:n]
-	d.shTargets = b.targets[:n]
-	d.shIDsSorted = b.idsSorted[:n]
-	d.shPosSorted = b.posSorted[:n]
-	d.shadowOwned = true
-	sessions := make([]gpsmath.Session, n)
-	for i, id := range d.order {
-		rec := d.sessions[id]
-		sessions[i] = gpsmath.Session{Name: rec.Name, Phi: rec.G, Arrival: rec.Arrival}
-		d.shIDs[i] = id
-		d.shTargets[i] = rec.Target
-		d.shIDsSorted[i] = id
-		d.shPosSorted[i] = i
-	}
-	sort.Sort(idPosOrder{ids: d.shIDsSorted, pos: d.shPosSorted})
-	if n == 0 && !(d.capacity > 0) {
+	if len(d.shIDs) == 0 && !(d.capacity > 0) {
 		// A zero-capacity shard (the ledger's budget is fully booked
 		// elsewhere) holding no sessions has nothing to analyze; publish
 		// an empty epoch and leave the analyzer unset until a refill
 		// grants capacity.
-		d.delta = nil
-		return &Epoch{
-			Seq: seq, BuiltAt: time.Now(),
-			IDs: d.shIDs, Targets: d.shTargets,
-			idsSorted: d.shIDsSorted, posSorted: d.shPosSorted,
-			backing: d.shadow,
-		}
+		return &Epoch{Seq: seq, BuiltAt: time.Now()}, nil
+	}
+	sessions := make([]gpsmath.Session, len(d.shIDs))
+	for i, id := range d.shIDs {
+		rec := d.sessions[id]
+		sessions[i] = gpsmath.Session{Name: rec.Name, Phi: rec.G, Arrival: rec.Arrival}
 	}
 	da, err := gpsmath.NewDeltaAnalyzer(gpsmath.Server{Rate: d.capacity, Sessions: sessions}, *d.cfg.Opts)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	d.delta = da
-	return d.finishEpoch(seq, false)
+	return d.finishEpoch(seq, false), nil
 }
 
-// idPosOrder sorts the id/position pair arrays by id.
-type idPosOrder struct {
-	ids []uint64
-	pos []int
-}
-
-func (o idPosOrder) Len() int           { return len(o.ids) }
-func (o idPosOrder) Less(a, b int) bool { return o.ids[a] < o.ids[b] }
-func (o idPosOrder) Swap(a, b int) {
-	o.ids[a], o.ids[b] = o.ids[b], o.ids[a]
-	o.pos[a], o.pos[b] = o.pos[b], o.pos[a]
-}
-
-// shadowAdmit extends the shadow arrays for one admitted record.
-// Appends are safe against published epochs (they hold shorter
-// lengths), and ids are assigned monotonically, so the sorted arrays
-// extend by append too. A full backing is re-seated explicitly first:
-// letting append reallocate would silently detach the writer from the
-// pooled, refcounted arrays.
-func (d *Daemon) shadowAdmit(rec *record) {
-	if len(d.shIDs)+1 > cap(d.shIDs) {
-		d.ownShadow(len(d.shIDs)/8 + 64)
+// indexBatch updates the sorted id index (shIDsSorted/shPosSorted) to
+// the writer's population, once per publish. Indexed records released
+// since the last update leave it and indexed records a release moved
+// get their new slot (both listed in touched); the sessions admitted
+// since append, since ids are assigned monotonically. Those sit at or
+// above idxLow, or were moved below it and are listed in touched too.
+// The index arrays take interior writes only for indexed records, which
+// sit below the published length, so their release already moved the
+// writer onto a backing no epoch shares.
+func (d *Daemon) indexBatch() {
+	ids, pos := d.shIDsSorted, d.shPosSorted
+	lo := len(ids) // lowest index entry a release vacated
+	var add []uint64
+	for _, rec := range d.touched {
+		if !d.indexed(rec.ID) {
+			if rec.pos >= 0 {
+				add = append(add, rec.ID)
+			}
+			continue
+		}
+		k := searchID(ids, rec.ID)
+		pos[k] = rec.pos // -1 marks a released id
+		if rec.pos < 0 {
+			lo = min(lo, k)
+		}
 	}
-	d.shIDs = append(d.shIDs, rec.ID)
-	d.shTargets = append(d.shTargets, rec.Target)
-	d.shIDsSorted = append(d.shIDsSorted, rec.ID)
-	d.shPosSorted = append(d.shPosSorted, len(d.shIDs)-1)
+	w := lo
+	for r := lo; r < len(ids); r++ {
+		if pos[r] >= 0 {
+			ids[w], pos[w] = ids[r], pos[r]
+			w++
+		}
+	}
+	ids, pos = ids[:w], pos[:w]
+	add = append(add, d.shIDs[d.idxLow:]...)
+	// A session moved twice below idxLow is listed twice.
+	slices.Sort(add)
+	for _, id := range slices.Compact(add) {
+		ids, pos = append(ids, id), append(pos, d.sessions[id].pos)
+	}
+	d.shIDsSorted, d.shPosSorted = ids, pos
+	d.touched = d.touched[:0]
+	d.idxLow = len(d.shIDs)
 }
 
-// shadowRelease mirrors the writer's swap-remove into the shadow
-// arrays. Interior slots mutate, so the first release after a publish
-// copies the arrays (published epochs keep the old backing); later
-// releases in the same batch edit the copy in place.
-func (d *Daemon) shadowRelease(pos int, id uint64) {
-	last := len(d.shIDs) - 1
-	if !d.shadowOwned {
-		// Copy onto a pooled backing the writer owns; the spare capacity
-		// keeps the admits that follow on the cheap append path instead
-		// of forcing a second full-array copy.
-		d.ownShadow(64)
-	}
-	movedID := d.shIDs[last]
-	d.shIDs[pos] = movedID
-	d.shIDs = d.shIDs[:last]
-	d.shTargets[pos] = d.shTargets[last]
-	d.shTargets = d.shTargets[:last]
-	k := sort.Search(len(d.shIDsSorted), func(j int) bool { return d.shIDsSorted[j] >= id })
-	copy(d.shIDsSorted[k:], d.shIDsSorted[k+1:])
-	copy(d.shPosSorted[k:], d.shPosSorted[k+1:])
-	d.shIDsSorted = d.shIDsSorted[:last]
-	d.shPosSorted = d.shPosSorted[:last]
-	if pos != last {
-		mk := sort.Search(len(d.shIDsSorted), func(j int) bool { return d.shIDsSorted[j] >= movedID })
-		d.shPosSorted[mk] = pos
-	}
+// indexed reports whether id was in the population at the last index
+// update: ids are assigned monotonically, so that is exactly the ids up
+// to the index's last.
+func (d *Daemon) indexed(id uint64) bool {
+	n := len(d.shIDsSorted)
+	return n > 0 && id <= d.shIDsSorted[n-1]
+}
+
+// searchID returns id's position in the ascending ids.
+func searchID(ids []uint64, id uint64) int {
+	return sort.Search(len(ids), func(j int) bool { return ids[j] >= id })
 }
 
 // finishEpoch assembles the publishable epoch from the analyzer state

@@ -429,8 +429,13 @@ func (h *handler) handlePartition(w http.ResponseWriter, r *http.Request) {
 func (h *handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	hv := h.svc.Health()
 	status, code := "ok", http.StatusOK
-	if hv.Draining {
+	switch {
+	case hv.Draining:
 		status, code = "draining", http.StatusServiceUnavailable
+	case hv.Degraded:
+		// Still 200: the node serves its last published epoch, and
+		// consumers decode the body, not the code.
+		status = "degraded"
 	}
 	body := map[string]any{
 		"status":   status,

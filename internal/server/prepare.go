@@ -336,20 +336,11 @@ func (d *Daemon) applyCommitTx(o op) {
 	now := time.Now().UnixNano()
 	d.nextID = id
 	d.removePrepareAt(i)
-	rec := &record{ID: id, Name: p.name, Arrival: p.arr,
-		Target: p.target, G: p.g, pos: len(d.order)}
-	d.sessions[rec.ID] = rec
-	d.order = append(d.order, rec.ID)
-	d.used += p.g
-	d.live.Store(rec.ID, rec)
-	d.typeAdd(rec)
-	d.recordPending(pendingOp{admit: true, rec: rec})
+	d.addRecord(&record{ID: id, Name: p.name, Arrival: p.arr, Target: p.target, G: p.g})
 	d.resolvedTx[o.txid] = resolvedTxRec{id: id, at: now}
 	d.clusterTx[id] = clusterTxRec{txid: o.txid, at: now}
-	d.dirty = true
-	d.opsSince++
 	d.met.ClusterCommits.Add(1)
-	o.reply <- opResult{ok: true, id: rec.ID, free: d.capacity - d.occupied()}
+	o.reply <- opResult{ok: true, id: id, free: d.capacity - d.occupied()}
 }
 
 // applyAbortTx rolls one reservation back on the writer goroutine. An

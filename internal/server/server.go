@@ -102,10 +102,6 @@ type Config struct {
 	SnapshotEvery int
 	// RateCacheMax bounds the required-rate memo (default 65536).
 	RateCacheMax int
-	// DeltaMaxOps caps how many pending mutations the incremental path
-	// will replay into one epoch; a larger batch falls back to a full
-	// rebuild, which is cheaper past that point (default 256).
-	DeltaMaxOps int
 	// SelfCheckEvery runs a from-scratch analysis against every Nth
 	// delta-built epoch and adopts it (plus a metric) on any bit
 	// difference. Default 128; negative disables.
@@ -140,9 +136,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RateCacheMax <= 0 {
 		c.RateCacheMax = rateCacheMax
-	}
-	if c.DeltaMaxOps <= 0 {
-		c.DeltaMaxOps = 256
 	}
 	if c.SelfCheckEvery == 0 {
 		c.SelfCheckEvery = 128
@@ -183,6 +176,10 @@ var (
 	// ErrWAL means the write-ahead log rejected the mutation's append;
 	// the mutation was not applied (durability before visibility).
 	ErrWAL = errors.New("server: write-ahead log append failed")
+	// ErrPublish wraps an analysis refusal of a writer's population: the
+	// previous epoch stays published and Health reads degraded until a
+	// publish succeeds.
+	ErrPublish = errors.New("server: epoch publish refused")
 )
 
 // record is the writer-owned state of one admitted session.
@@ -192,7 +189,7 @@ type record struct {
 	Arrival ebb.Process
 	Target  admission.Target
 	G       float64    // required rate = GPS weight φ
-	pos     int        // index in Daemon.order (writer-owned)
+	pos     int        // index in Daemon.shIDs, -1 once released (writer-owned)
 	te      *typeEntry // owning type bucket (writer-owned)
 	typePos int        // index in te.recs (writer-owned)
 }
@@ -238,17 +235,6 @@ type rateKey struct{ rho, lambda, alpha, delay, eps float64 }
 // streams (every request a fresh tuple, as the fuzzer produces) cannot
 // grow it without limit; Config.RateCacheMax overrides it.
 const rateCacheMax = 1 << 16
-
-// pendingOp is one decided mutation awaiting replay into the
-// incremental analyzer at the next epoch publish. For releases, pos is
-// the session's slot at release time — the replay walks the same
-// append/swap-remove sequence the writer's order slice walked, so the
-// recorded position is the right one at that point of the replay.
-type pendingOp struct {
-	admit bool
-	rec   *record
-	pos   int
-}
 
 // typeEntry tracks the admitted sessions sharing one declared
 // (arrival, target) tuple. Sessions of one type are indistinguishable
@@ -338,14 +324,15 @@ type Daemon struct {
 	// capBits mirrors the writer's capacity for lock-free scrape reads
 	// (Float64bits; the writer updates it on every ledger move).
 	capBits atomic.Uint64
+	// degraded is set while the writer's latest publish attempt failed.
+	degraded atomic.Bool
 
 	// Writer-owned state (no locks: only the run goroutine touches it).
 	sessions    map[uint64]*record
-	order       []uint64 // admission order; swap-removed on release
-	used        float64  // Σ required rates of the admitted set
-	capacity    float64  // admission headroom ceiling (== cfg.Rate unless a ledger resizes it)
-	capDirty    bool     // capacity moved since the last analyzer refresh
-	stride      uint64   // id increment: 1<<slot.bits
+	used        float64 // Σ required rates of the admitted set
+	capacity    float64 // admission headroom ceiling (== cfg.Rate unless a ledger resizes it)
+	capDirty    bool    // capacity moved since the last analyzer refresh
+	stride      uint64  // id increment: 1<<slot.bits
 	nextID      uint64
 	opsSince    int // mutations since the last published epoch
 	dirty       bool
@@ -369,18 +356,26 @@ type Daemon struct {
 	clusterTx  map[uint64]clusterTxRec
 
 	// Incremental-epoch state (writer-owned). delta is the persistent
-	// analyzer the pending ops replay into; the shadow arrays (shIDs,
-	// shTargets and the sorted id index) mirror the epoch-visible
-	// bookkeeping under an append-share / copy-on-first-interior-write
-	// discipline so published epochs stay immutable.
+	// analyzer every decision is staged into. The shadow arrays mirror
+	// the epoch-visible bookkeeping under an append-share /
+	// copy-on-first-interior-write discipline so published epochs stay
+	// immutable: shIDs (the admission order; admits append, releases
+	// swap-remove) and shTargets change with every decision, the sorted
+	// id index only at a publish.
 	delta       *gpsmath.DeltaAnalyzer
-	pending     []pendingOp
 	shadow      *shadowBacking // pooled arrays the sh* slices alias
 	shIDs       []uint64
 	shTargets   []admission.Target
 	shIDsSorted []uint64
 	shPosSorted []int
-	shadowOwned bool // shadow backing not yet shared with an epoch
+	shShared    int // leading shadow slots a published epoch reads
+	// touched lists the records whose sorted-index entries a publish
+	// must fix: indexed records released since the last one, and records
+	// a release moved below idxLow. Every slot at or above idxLow — the
+	// lowest population since the last index update — holds a session
+	// admitted since, so touched and that tail are all a publish reads.
+	touched     []*record
+	idxLow      int
 	types       map[rateKey]*typeEntry
 	lastTypeKey rateKey
 	lastType    *typeEntry
@@ -438,10 +433,6 @@ func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 		capacity:   slot.capacity,
 		stride:     1 << slot.bits,
 		nextID:     slot.id,
-		// Sized so the per-decision append never grows mid-batch (a
-		// batch is at most MaxBatch ops before a forced rebuild drains
-		// it); capped for configs that use MaxBatch as "never".
-		pending: make([]pendingOp, 0, min(cfg.MaxBatch, 4096)),
 	}
 	if st != nil {
 		if st.NextID != 0 {
@@ -451,22 +442,17 @@ func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 			}
 			d.nextID = st.NextID
 		}
-		d.used = st.Used // the live writer's running sum, not a recomputation
-		d.order = make([]uint64, len(st.Sessions))
-		for i, s := range st.Sessions {
-			rec := &record{
+		d.ownShadow(len(st.Sessions)) // one backing sized for the recovered set
+		for _, s := range st.Sessions {
+			d.addRecord(&record{
 				ID:      s.ID,
 				Name:    s.Name,
 				Arrival: ebb.Process{Rho: s.Rho, Lambda: s.Lambda, Alpha: s.Alpha},
 				Target:  admission.Target{Delay: s.Delay, Eps: s.Eps},
 				G:       s.G,
-				pos:     i,
-			}
-			d.sessions[s.ID] = rec
-			d.order[i] = s.ID
-			d.live.Store(s.ID, rec)
-			d.typeAdd(rec)
+			})
 		}
+		d.used = st.Used // the live writer's running sum, not a recomputation
 		for _, p := range st.Prepares {
 			d.prepares = append(d.prepares, &prepareRec{
 				txid: p.TxID, name: p.Name,
@@ -508,13 +494,14 @@ func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 		d.met.WALRecoveredOps.Store(int64(len(cfg.Recovered.Ops)))
 	}
 	d.capBits.Store(math.Float64bits(d.capacity))
-	ep := d.buildEpochFull(1)
-	if ep == nil {
-		return nil, fmt.Errorf("server: recovered session set failed analysis")
+	ep, err := d.buildEpoch(1)
+	if err != nil {
+		return nil, fmt.Errorf("server: recovered session set failed analysis: %w", err)
 	}
 	d.publish(ep)
 	d.met.FullRebuilds.Add(1)
 	d.lastRebuild = time.Now()
+	d.dirty, d.opsSince = false, 0
 	go d.run()
 	return d, nil
 }
@@ -635,9 +622,14 @@ func (d *Daemon) exec(fn func()) error {
 
 // Rebuild forces an epoch publish on the writer goroutine and waits
 // for it: the deterministic flush used by tests and the epoch
-// benchmarks to publish per-op without retuning MaxBatch.
+// benchmarks to publish per-op without retuning MaxBatch. A refused
+// analysis comes back wrapped in ErrPublish.
 func (d *Daemon) Rebuild() error {
-	return d.exec(func() { d.rebuild() })
+	var err error
+	if xerr := d.exec(func() { err = d.rebuild() }); xerr != nil {
+		return xerr
+	}
+	return err
 }
 
 // replyPool recycles reply channels across requests: every use
@@ -769,18 +761,9 @@ func (d *Daemon) apply(o op) {
 			return
 		}
 		d.nextID = id
-		rec := &record{ID: id, Name: o.name, Arrival: o.arr,
-			Target: o.target, G: o.g, pos: len(d.order)}
-		d.sessions[rec.ID] = rec
-		d.order = append(d.order, rec.ID)
-		d.used += o.g
-		d.live.Store(rec.ID, rec)
-		d.typeAdd(rec)
-		d.recordPending(pendingOp{admit: true, rec: rec})
-		d.dirty = true
-		d.opsSince++
+		d.addRecord(&record{ID: id, Name: o.name, Arrival: o.arr, Target: o.target, G: o.g})
 		d.met.Admits.Add(1)
-		o.reply <- opResult{ok: true, id: rec.ID, free: d.capacity - d.occupied()}
+		o.reply <- opResult{ok: true, id: id, free: d.capacity - d.occupied()}
 	case opRelease:
 		rec, ok := d.sessions[o.id]
 		if !ok {
@@ -798,23 +781,68 @@ func (d *Daemon) apply(o op) {
 	}
 }
 
+// addRecord adds one admitted session to the writer state: the
+// session map, the shadow arrays, the type fold, and the analyzer's
+// staged batch. Shared by admit, cluster commit and recovery; runs on
+// the writer goroutine only.
+func (d *Daemon) addRecord(rec *record) {
+	if len(d.shIDs) == cap(d.shIDs) {
+		// Re-seat a full shadow backing explicitly: letting append
+		// reallocate would silently detach the writer from the pooled,
+		// refcounted arrays. Appends are safe against published epochs,
+		// which hold shorter lengths.
+		d.ownShadow(len(d.shIDs)/8 + 64)
+	}
+	rec.pos = len(d.shIDs)
+	d.shIDs, d.shTargets = append(d.shIDs, rec.ID), append(d.shTargets, rec.Target)
+	d.sessions[rec.ID] = rec
+	d.used += rec.G
+	d.live.Store(rec.ID, rec)
+	d.typeAdd(rec)
+	// The analyzer refuses only a malformed session; dropping it sends
+	// the next publish through the verified constructor, which refuses
+	// visibly.
+	if d.delta != nil && d.delta.Admit(gpsmath.Session{Name: rec.Name, Phi: rec.G, Arrival: rec.Arrival}) != nil {
+		d.delta = nil
+	}
+	d.dirty = true
+	d.opsSince++
+}
+
 // releaseRecord performs the in-memory half of a release after its
-// KindRelease is durable: swap-remove from the admission-order slice
-// (O(1)), bookkeeping, capacity trim. Shared by the ordinary release
-// path and the abort-after-commit compensation; runs on the writer
-// goroutine only.
+// KindRelease is durable: swap-remove from the shadow arrays and the
+// analyzer's staged batch (O(1); a batch's first release copies them),
+// bookkeeping, capacity trim. Shared by the ordinary release path and
+// the abort-after-commit compensation; runs on the writer goroutine
+// only.
 func (d *Daemon) releaseRecord(rec *record) {
-	last := len(d.order) - 1
-	moved := d.order[last]
-	d.order[rec.pos] = moved
-	d.sessions[moved].pos = rec.pos
-	d.order = d.order[:last]
+	p, last := rec.pos, len(d.shIDs)-1
+	if p < d.shShared {
+		// A published epoch reads slot p: copy onto a backing the writer
+		// owns, with spare capacity for the admits that follow. A release
+		// at or past the published length leaves every slot an epoch
+		// reads alone, the vacated one included.
+		d.ownShadow(64)
+	}
+	moved := d.sessions[d.shIDs[last]]
+	d.shIDs[p], d.shTargets[p] = d.shIDs[last], d.shTargets[last]
+	d.shIDs, d.shTargets = d.shIDs[:last], d.shTargets[:last]
+	moved.pos, rec.pos = p, -1
+	d.idxLow = min(d.idxLow, last)
+	if d.indexed(rec.ID) {
+		d.touched = append(d.touched, rec)
+	}
+	if p < d.idxLow {
+		d.touched = append(d.touched, moved)
+	}
+	if d.delta != nil && d.delta.Release(p) != nil {
+		d.delta = nil
+	}
 	delete(d.sessions, rec.ID)
 	d.used -= rec.G
 	d.live.Delete(rec.ID)
 	d.typeRemove(rec)
 	delete(d.clusterTx, rec.ID)
-	d.recordPending(pendingOp{rec: rec, pos: rec.pos})
 	d.trimCapacity()
 	d.dirty = true
 	d.opsSince++
@@ -863,18 +891,6 @@ func (d *Daemon) trimCapacity() {
 	}
 }
 
-// recordPending journals one decided mutation for replay at the next
-// epoch publish. Past DeltaMaxOps+1 entries the batch can no longer
-// ride the incremental path (the eligibility limit never exceeds
-// DeltaMaxOps), so recording stops: the rebuild goes from scratch and
-// ignores the journal, and a huge-MaxBatch config cannot grow it
-// without bound between publishes. Runs on the writer goroutine only.
-func (d *Daemon) recordPending(po pendingOp) {
-	if len(d.pending) <= d.cfg.DeltaMaxOps {
-		d.pending = append(d.pending, po)
-	}
-}
-
 // logAppend makes one op durable and advances the snapshot cadence
 // counter. Runs on the writer goroutine only.
 func (d *Daemon) logAppend(o wal.Op) error {
@@ -902,9 +918,9 @@ func (d *Daemon) walState() wal.State {
 	st := wal.State{
 		NextID:   d.nextID,
 		Used:     d.used,
-		Sessions: make([]wal.SessionRecord, len(d.order)),
+		Sessions: make([]wal.SessionRecord, len(d.shIDs)),
 	}
-	for i, id := range d.order {
+	for i, id := range d.shIDs {
 		rec := d.sessions[id]
 		st.Sessions[i] = wal.SessionRecord{
 			ID: id, Name: rec.Name,

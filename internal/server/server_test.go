@@ -42,8 +42,8 @@ func newTestDaemon(t *testing.T, cfg Config) *Daemon {
 // rebuild on the writer goroutine.
 func forceRebuild(t *testing.T, d *Daemon) *Epoch {
 	t.Helper()
-	if err := d.exec(func() { d.rebuild() }); err != nil {
-		t.Fatalf("exec rebuild: %v", err)
+	if err := d.Rebuild(); err != nil {
+		t.Fatalf("rebuild: %v", err)
 	}
 	return d.CurrentEpoch()
 }

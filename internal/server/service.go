@@ -65,6 +65,9 @@ type PartitionView struct {
 // shard-ordered sum of per-shard Σφ.
 type HealthView struct {
 	Draining bool
+	// Degraded reports that a writer's latest publish attempt failed:
+	// its published epoch is frozen until a publish succeeds.
+	Degraded bool
 	EpochSeq uint64
 	Sessions int
 	Used     float64
@@ -124,6 +127,7 @@ func (d *Daemon) Health() HealthView {
 	ep := d.CurrentEpoch()
 	return HealthView{
 		Draining: draining,
+		Degraded: d.degraded.Load(),
 		EpochSeq: ep.Seq,
 		Sessions: ep.Sessions(),
 		Used:     ep.Used,

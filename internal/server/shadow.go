@@ -72,10 +72,11 @@ func (d *Daemon) publish(ep *Epoch) {
 		runtime.SetFinalizer(ep, (*Epoch).dropBacking)
 	}
 	d.epoch.Store(ep)
-	// The epoch now shares the shadow arrays: interior mutation needs a
-	// fresh copy from here on (appends remain safe — old epochs only
-	// see their own lengths).
-	d.shadowOwned = false
+	// The epoch now reads the shadow arrays' first len(ep.IDs) slots:
+	// writing one needs a fresh copy from here on. Appends past them
+	// remain safe, and no older epoch on this backing is longer, since
+	// a release below a published length always copies first.
+	d.shShared = len(ep.IDs)
 }
 
 // ownShadow moves the shadow arrays onto a backing the writer owns
@@ -97,5 +98,5 @@ func (d *Daemon) ownShadow(spare int) {
 	if old != nil {
 		old.release()
 	}
-	d.shadowOwned = true
+	d.shShared = 0
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -332,19 +333,20 @@ func (s *Sharded) Health() HealthView {
 		h.Used += ep.Used
 		h.Reserved += d.Reserved()
 		h.Prepares += d.PrepareCount()
+		h.Degraded = h.Degraded || d.degraded.Load()
 	}
 	return h
 }
 
 // Rebuild forces an epoch publish on every shard writer (tests and
-// benchmarks).
+// benchmarks) and joins their errors: a refused analysis is wrapped in
+// ErrPublish and names its shard.
 func (s *Sharded) Rebuild() error {
-	for _, d := range s.shards {
-		if err := d.Rebuild(); err != nil {
-			return err
-		}
+	errs := make([]error, len(s.shards))
+	for i, d := range s.shards {
+		errs[i] = d.Rebuild()
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Close drains every shard writer concurrently: each decides what it

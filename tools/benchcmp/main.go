@@ -1,8 +1,16 @@
 // Command benchcmp guards the hot paths against performance regressions:
-// it loads the two newest BENCH_*.json snapshots (lexicographic name
-// order, which the timestamped naming makes chronological), compares
-// ns/op for a named set of hot-path benchmarks, and exits non-zero if
-// any of them regressed by more than the threshold.
+// it loads the newest BENCH_*.json snapshot (lexicographic name order,
+// which the timestamped naming makes chronological) and the newest
+// older one with the same host fingerprint, compares ns/op for a named
+// set of hot-path benchmarks, and exits non-zero if any of them
+// regressed by more than the threshold.
+//
+// Only a same-host pair is comparable: a different CPU model, core
+// count or GOMAXPROCS moves ns/op by more than the threshold with no
+// code change (a GOMAXPROCS=1 host even takes different code paths).
+// A snapshot without a fingerprint is never a baseline, and with no
+// same-host baseline the gate fails and says why; it never passes by
+// default.
 //
 // The workflow is snapshot-to-snapshot, not measure-on-the-spot: `make
 // bench` writes a new snapshot, and `make benchcheck` (in CI alongside
@@ -39,6 +47,9 @@ var hotPaths = []string{
 	"EpochDelta/sessions-10000",
 	"EpochDelta/sessions-131072",
 	"EpochDelta/sessions-1000000",
+	"EpochBatch/palette4/sessions-10000/ops-1800",
+	"EpochBatch/palette64/sessions-25000/ops-17",
+	"EpochBatch/palette1/sessions-131072/ops-3",
 	"FluidSim",
 	"NetSim",
 	"HierSim",
@@ -61,25 +72,40 @@ type result struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
+// host is the fingerprint tools/benchjson records; a zero field means
+// the snapshot predates it.
+type host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+}
+
+func (h host) valid() bool { return h.CPU != "" && h.GOMAXPROCS > 0 && h.NumCPU > 0 }
+
 type snapshot struct {
-	Date       string   `json:"date"`
+	Host       host     `json:"host"`
 	Benchmarks []result `json:"benchmarks"`
 }
 
-func load(path string) (map[string]float64, string, error) {
+func load(path string) (host, map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", err
+		return host{}, nil, err
 	}
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
+		return host{}, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	m := make(map[string]float64, len(snap.Benchmarks))
 	for _, b := range snap.Benchmarks {
 		m[b.Name] = b.NsPerOp
 	}
-	return m, snap.Date, nil
+	return snap.Host, m, nil
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "benchcmp: "+format+"\n", args...)
+	os.Exit(1)
 }
 
 func main() {
@@ -94,28 +120,38 @@ func main() {
 	}
 	files, err := filepath.Glob(filepath.Join(*dir, "BENCH_*.json"))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	sort.Strings(files)
-	if len(files) < 2 {
-		fmt.Printf("benchcmp: %d snapshot(s) in %s, nothing to compare\n", len(files), *dir)
-		return
+	if len(files) == 0 {
+		fail("no BENCH_*.json snapshot in %s", *dir)
 	}
-	oldPath, newPath := files[len(files)-2], files[len(files)-1]
-	oldNs, _, err := load(oldPath)
+	newPath := files[len(files)-1]
+	newHost, newNs, err := load(newPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+		fail("%v", err)
 	}
-	newNs, _, err := load(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchcmp:", err)
-		os.Exit(1)
+	if !newHost.valid() {
+		fail("newest snapshot %s has no host fingerprint; regenerate it with `make bench`", filepath.Base(newPath))
+	}
+	var oldPath string
+	var oldNs map[string]float64
+	for i := len(files) - 2; i >= 0 && oldPath == ""; i-- {
+		h, ns, err := load(files[i])
+		if err != nil {
+			fail("%v", err)
+		}
+		if h == newHost {
+			oldPath, oldNs = files[i], ns
+		}
+	}
+	if oldPath == "" {
+		fail("no older snapshot from the host of %s (cpu %q, GOMAXPROCS %d, NumCPU %d) to gate against; "+
+			"run `make bench` at the base commit on this host first", filepath.Base(newPath), newHost.CPU, newHost.GOMAXPROCS, newHost.NumCPU)
 	}
 
-	fmt.Printf("benchcmp: %s -> %s (hot-path gate: +%.0f%% ns/op)\n",
-		filepath.Base(oldPath), filepath.Base(newPath), *max*100)
+	fmt.Printf("benchcmp: %s -> %s (same host: cpu %q, GOMAXPROCS %d, NumCPU %d; hot-path gate: +%.0f%% ns/op)\n",
+		filepath.Base(oldPath), filepath.Base(newPath), newHost.CPU, newHost.GOMAXPROCS, newHost.NumCPU, *max*100)
 	failed := 0
 	for _, name := range names {
 		o, inOld := oldNs[name]
@@ -124,10 +160,10 @@ func main() {
 		case !inOld && !inNew:
 			continue
 		case !inNew:
-			fmt.Printf("  FAIL %-34s removed from newest snapshot\n", name)
+			fmt.Printf("  FAIL %-44s removed from newest snapshot\n", name)
 			failed++
 		case !inOld:
-			fmt.Printf("  new  %-34s %12.1f ns/op (no baseline)\n", name, n)
+			fmt.Printf("  new  %-44s %12.1f ns/op (no baseline)\n", name, n)
 		default:
 			delta := n/o - 1
 			verdict := "ok  "
@@ -135,12 +171,11 @@ func main() {
 				verdict = "FAIL"
 				failed++
 			}
-			fmt.Printf("  %s %-34s %12.1f -> %12.1f ns/op (%+.1f%%)\n", verdict, name, o, n, delta*100)
+			fmt.Printf("  %s %-44s %12.1f -> %12.1f ns/op (%+.1f%%)\n", verdict, name, o, n, delta*100)
 		}
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: %d hot-path benchmark(s) regressed beyond +%.0f%%\n", failed, *max*100)
-		os.Exit(1)
+		fail("%d hot-path benchmark(s) regressed beyond +%.0f%%", failed, *max*100)
 	}
 	fmt.Println("benchcmp: hot paths within budget")
 }

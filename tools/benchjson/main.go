@@ -7,7 +7,14 @@
 // Repeated samples of the same benchmark (from `go test -count N`)
 // collapse to the fastest one: background load on a shared machine
 // only ever inflates ns/op, so the per-name minimum is the stable
-// noise floor that makes two snapshots comparable.
+// noise floor that makes two snapshots comparable. The kept sample
+// carries every custom unit its benchmark reported with b.ReportMetric
+// (ms/epoch, decisions/s, ...).
+//
+// Two snapshots are comparable only when they come from the same host,
+// so each records a host fingerprint: the `cpu:` line go test prints,
+// GOMAXPROCS and NumCPU. benchjson runs in the same environment as the
+// go test it reads, so its own GOMAXPROCS is the benchmarks'.
 package main
 
 import (
@@ -22,11 +29,19 @@ import (
 )
 
 type result struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+	Name        string             `json:"name"`
+	Iterations  int64              `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  *int64             `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64             `json:"allocs_per_op,omitempty"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
+}
+
+// host is the fingerprint benchcmp matches snapshots on.
+type host struct {
+	CPU        string `json:"cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
 }
 
 type snapshot struct {
@@ -34,6 +49,7 @@ type snapshot struct {
 	GoVersion  string   `json:"go_version"`
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
+	Host       host     `json:"host"`
 	Benchmarks []result `json:"benchmarks"`
 }
 
@@ -43,12 +59,16 @@ func main() {
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
+		Host:      host{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU()},
 	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	index := make(map[string]int)
 	for sc.Scan() {
 		line := sc.Text()
+		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
+			snap.Host.CPU = strings.TrimSpace(cpu)
+		}
 		r, ok := parse(line)
 		if !ok {
 			fmt.Fprintln(os.Stderr, line)
@@ -118,6 +138,11 @@ func parse(line string) (result, bool) {
 		case "allocs/op":
 			a := int64(v)
 			r.AllocsPerOp = &a
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[f[i+1]] = v
 		}
 	}
 	return r, seen
