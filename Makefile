@@ -4,6 +4,7 @@
 # targets that guard config parsing and the fluid server loop.
 
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
@@ -15,7 +16,11 @@ all: check
 # The nested bench module (bench/gpsdbench) compiles against the root
 # module's server, wal and replication packages; the root ./... never
 # reaches it, so vet it — which builds it and its tests — explicitly.
+# Every Go file outside the benchmark's build directory must be
+# gofmt-clean.
 vet:
+	@unformatted=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet -tests ./...
 	$(GO) -C bench vet ./...
 
@@ -104,7 +109,7 @@ benchcheck:
 # must match the direct (ClassifyUnderRate / AdmissionDecision)
 # recomputations, with a refused publish visible.
 deltacheck:
-	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeEval|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeFold|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor' ./internal/gpsmath ./internal/server
 
 # shardcheck is the sharded-writer differential gate, uncached and
 # race-enabled: the capacity ledger's budget invariant, concurrent

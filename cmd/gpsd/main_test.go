@@ -55,8 +55,6 @@ gpsd_sessions_guaranteed gauge
 gpsd_sessions_infeasible gauge
 gpsd_shed_total counter
 gpsd_targets_met gauge
-gpsd_type_eval_hits_total counter
-gpsd_type_eval_misses_total counter
 gpsd_utilization gauge
 gpsd_wal_append_failures_total counter
 gpsd_wal_appends_total counter

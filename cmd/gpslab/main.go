@@ -324,7 +324,8 @@ func single() error {
 	fmt.Println("Single GPS node, Set-1 sessions, RPPS assignment")
 	header := []string{"session", "rho", "g", "class", "Q(1e-6)", "D(1e-6)", "Pr{D>=20}"}
 	var rows [][]string
-	for i, sb := range a.Bounds {
+	for i := range srv.Sessions {
+		sb := a.PartitionBound(i)
 		rows = append(rows, []string{
 			srv.Sessions[i].Name,
 			fmt.Sprintf("%.2f", srv.Sessions[i].Arrival.Rho),
@@ -340,8 +341,9 @@ func single() error {
 	// Also show the bound curve for session 1 as a quick visual.
 	grid := stats.Levels(0, 40, 40)
 	ys := make([]float64, len(grid))
+	sb := a.PartitionBound(0)
 	for k, d := range grid {
-		ys[k] = a.Bounds[0].DelayTail(d)
+		ys[k] = sb.DelayTail(d)
 	}
 	out, err := plot.RenderLog([]plot.Series{{Name: "session 1 delay bound", X: grid, Y: ys}}, 72, 14, 1e-12)
 	if err != nil {

@@ -41,7 +41,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, sb := range analysis.Bounds {
+	for i := range srv.Sessions {
+		sb := analysis.PartitionBound(i)
 		fmt.Printf("%-6s g=%.3f  Pr{Q>=5} <= %.2e  Pr{D>=15} <= %.2e  D(1e-6) <= %.1f slots\n",
 			srv.Sessions[i].Name, sb.G, sb.BacklogTail(5), sb.DelayTail(15), sb.DelayQuantile(1e-6))
 	}
@@ -68,7 +69,7 @@ func main() {
 		}
 	}
 	emp := float64(exceed) / slots
-	bound := analysis.Bounds[0].BacklogTail(level)
+	bound := analysis.PartitionBound(0).BacklogTail(level)
 	fmt.Printf("\nsimulated Pr{Q_video >= %.0f} = %.2e, bound %.2e (bound holds: %v)\n",
 		level, emp, bound, emp <= bound)
 }

@@ -64,8 +64,8 @@ func main() {
 			log.Fatal(err)
 		}
 		ok := true
-		for _, sb := range analysis.Bounds {
-			if sb.DelayTail(delaySlots) > epsTarget {
+		for i := range srv.Sessions {
+			if analysis.PartitionBound(i).DelayTail(delaySlots) > epsTarget {
 				ok = false
 				break
 			}

@@ -18,7 +18,8 @@ func ExampleAnalyze() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, sb := range a.Bounds {
+	for i := range srv.Sessions {
+		sb := a.PartitionBound(i)
 		fmt.Printf("%s: guaranteed rate %.3f, delay with Pr<=1e-6: %.1f slots\n",
 			srv.Sessions[i].Name, sb.G, sb.DelayQuantile(1e-6))
 	}

@@ -113,11 +113,11 @@ func TestPacketFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := NewPGPSBounds(a.Bounds[0], 0.5, 1)
+	pb, err := NewPGPSBounds(a.PartitionBound(0), 0.5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pb.DelayTail(10) < a.Bounds[0].DelayTail(10) {
+	if pb.DelayTail(10) < a.PartitionBound(0).DelayTail(10) {
 		t.Error("PGPS bound tighter than fluid bound")
 	}
 }

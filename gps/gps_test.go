@@ -50,7 +50,8 @@ func TestSingleNodeWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sb := range analysis.Bounds {
+	for i := range srv.Sessions {
+		sb := analysis.PartitionBound(i)
 		if v := sb.DelayTail(30); v > 0.05 {
 			t.Errorf("session %d: delay bound at 30 = %v, want small", i, v)
 		}
@@ -82,7 +83,7 @@ func TestSingleNodeWorkflow(t *testing.T) {
 		}
 	}
 	emp := float64(exceed) / float64(total)
-	bound := analysis.Bounds[0].BacklogTail(level)
+	bound := analysis.PartitionBound(0).BacklogTail(level)
 	if emp > bound*1.2+1e-6 {
 		t.Errorf("simulated Pr{Q>=%v} = %v above bound %v", level, emp, bound)
 	}

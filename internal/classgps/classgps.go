@@ -128,7 +128,7 @@ func (s Server) Analyze(thetaFrac float64, independent bool, xi gpsmath.XiMode) 
 	}
 	out := make([]ClassBounds, len(s.Classes))
 	for i := range s.Classes {
-		out[i] = ClassBounds{Class: s.Classes[i].Name, Bounds: a.Bounds[i]}
+		out[i] = ClassBounds{Class: s.Classes[i].Name, Bounds: a.PartitionBound(i)}
 	}
 	return out, nil
 }

@@ -95,20 +95,6 @@ type Metrics struct {
 	OrphanReleases  atomic.Int64 // unjournaled hop sessions swept at recovery
 }
 
-// clusterSession is one committed end-to-end session. Sessions are
-// held in admission order — the CRST recursion derives interior-hop
-// inputs from the session list in order, so the order is load-bearing
-// for bit-identical replay by offline tooling.
-type clusterSession struct {
-	id     uint64
-	name   string
-	arr    ebb.Process
-	route  []int
-	target admission.Target
-	hopIDs []uint64 // per-hop daemon session ids, aligned with route
-	shards []int    // per-hop owning shard, echoed from prepare
-}
-
 // Coordinator walks admits through the topology. With Config.Log set,
 // every committed admit and release is journaled commit-before-reply,
 // so a restart folds the journal back into the session set and serves
@@ -121,9 +107,15 @@ type Coordinator struct {
 	client *http.Client
 	met    Metrics
 
-	mu       sync.Mutex
-	nextID   uint64
-	sessions []clusterSession
+	mu     sync.Mutex
+	nextID uint64
+	// sessions is the committed set, one record per end-to-end session
+	// in the order wal.FoldRoutes folds the journal into: the CRST
+	// recursion derives interior-hop inputs from the session list in
+	// order, so the order is load-bearing for bit-identical replay by
+	// offline tooling, which builds its network from the same records
+	// with the same BuildNetwork.
+	sessions []wal.RouteSessionRecord
 	byID     map[uint64]int        // session id -> index in sessions, maintained across swap-remove
 	analysis *network.CRSTAnalysis // cached for the current committed set; nil after release
 }
@@ -271,36 +263,6 @@ func newTxID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// buildNetwork assembles the analysis model: topology nodes plus every
-// committed session in admission order, plus (optionally) the
-// candidate appended last. Route and Phi slices are freshly built so
-// the analysis never aliases coordinator state.
-func (c *Coordinator) buildNetwork(cand *AdmitRequest) network.Network {
-	nw := network.Network{Nodes: make([]network.Node, len(c.cfg.Topology.Nodes))}
-	for m, n := range c.cfg.Topology.Nodes {
-		nw.Nodes[m] = network.Node{Name: n.Name, Rate: n.Rate}
-	}
-	add := func(name string, arr ebb.Process, route []int) {
-		phi := make([]float64, len(route))
-		for k := range route {
-			phi[k] = arr.Rho
-		}
-		nw.Sessions = append(nw.Sessions, network.Session{
-			Name:    name,
-			Arrival: arr,
-			Route:   append([]int(nil), route...),
-			Phi:     phi,
-		})
-	}
-	for _, s := range c.sessions {
-		add(s.name, s.arr, s.route)
-	}
-	if cand != nil {
-		add(cand.Name, cand.Arrival, cand.Route)
-	}
-	return nw
-}
-
 // boundFor evaluates session i's end-to-end bound from an analysis.
 func boundFor(an *network.CRSTAnalysis, i int, target admission.Target) Bound {
 	env := an.EndToEndDelayExpTail(i)
@@ -343,15 +305,22 @@ func (c *Coordinator) Admit(req AdmitRequest) (AdmitResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	cand := len(c.sessions)
-	an, err := c.buildNetwork(&req).AnalyzeCRST(c.cfg.CRST)
+	n := len(c.sessions)
+	// The candidate goes last, appended to a copy capped at the committed
+	// length: it must never land in the live set's backing array before
+	// the commit.
+	cand := wal.RouteSessionRecord{
+		Name: req.Name, Rho: req.Arrival.Rho, Lambda: req.Arrival.Lambda, Alpha: req.Arrival.Alpha,
+		Delay: req.Target.Delay, Eps: req.Target.Eps, Route: append([]int(nil), req.Route...),
+	}
+	an, err := BuildNetwork(c.cfg.Topology, append(c.sessions[:n:n], cand)).AnalyzeCRST(c.cfg.CRST)
 	if err != nil {
 		// Stability violation or non-CRST assignment: an orderly
 		// refusal, decided before any hop was touched.
 		c.met.Rejects.Add(1)
 		return AdmitResult{Reason: err.Error()}, nil
 	}
-	bound := boundFor(an, cand, req.Target)
+	bound := boundFor(an, n, req.Target)
 	if !(bound.AchievedEps <= req.Target.Eps) {
 		c.met.Rejects.Add(1)
 		return AdmitResult{
@@ -435,16 +404,9 @@ func (c *Coordinator) Admit(req AdmitRequest) (AdmitResult, error) {
 		return AdmitResult{}, fmt.Errorf("%w: admit: %v", ErrDurability, err)
 	}
 	c.nextID++
-	c.byID[id] = len(c.sessions)
-	c.sessions = append(c.sessions, clusterSession{
-		id:     id,
-		name:   req.Name,
-		arr:    req.Arrival,
-		route:  append([]int(nil), req.Route...),
-		target: req.Target,
-		hopIDs: hopIDs,
-		shards: shards,
-	})
+	c.byID[id] = n
+	cand.ID, cand.HopIDs, cand.Shards = id, hopIDs, shards
+	c.sessions = append(c.sessions, cand)
 	// The candidate was analyzed appended last, which is exactly the
 	// committed set now — the cache is the admit's own analysis.
 	c.analysis = an
@@ -454,7 +416,7 @@ func (c *Coordinator) Admit(req AdmitRequest) (AdmitResult, error) {
 		ID:       id,
 		TxID:     txid,
 		Bound:    bound,
-		Hops:     c.hopsFor(an, cand, hopIDs),
+		Hops:     c.hopsFor(an, n, hopIDs),
 	}, nil
 }
 
@@ -469,19 +431,20 @@ func (c *Coordinator) RouteBounds(id uint64) (RouteBounds, bool, error) {
 		return RouteBounds{}, false, nil
 	}
 	if c.analysis == nil {
-		an, err := c.buildNetwork(nil).AnalyzeCRST(c.cfg.CRST)
+		an, err := BuildNetwork(c.cfg.Topology, c.sessions).AnalyzeCRST(c.cfg.CRST)
 		if err != nil {
 			return RouteBounds{}, false, fmt.Errorf("cluster: reanalysis: %w", err)
 		}
 		c.analysis = an
 	}
 	s := c.sessions[idx]
+	target := admission.Target{Delay: s.Delay, Eps: s.Eps}
 	return RouteBounds{
-		ID:     s.id,
-		Name:   s.name,
-		Target: s.target,
-		Bound:  boundFor(c.analysis, idx, s.target),
-		Hops:   c.hopsFor(c.analysis, idx, s.hopIDs),
+		ID:     s.ID,
+		Name:   s.Name,
+		Target: target,
+		Bound:  boundFor(c.analysis, idx, target),
+		Hops:   c.hopsFor(c.analysis, idx, s.HopIDs),
 	}, true, nil
 }
 
@@ -502,8 +465,8 @@ func (c *Coordinator) Release(id uint64) (bool, error) {
 		return false, nil
 	}
 	s := c.sessions[idx]
-	for k, m := range s.route {
-		if err := c.releaseHop(m, s.hopIDs[k]); err != nil {
+	for k, m := range s.Route {
+		if err := c.releaseHop(m, s.HopIDs[k]); err != nil {
 			return true, fmt.Errorf("%w: release at %s: %v",
 				ErrPartition, c.cfg.Topology.Nodes[m].Name, err)
 		}

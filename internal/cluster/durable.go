@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/admission"
 	"repro/internal/ebb"
 	"repro/internal/network"
 	"repro/internal/wal"
@@ -51,13 +50,13 @@ func (c *Coordinator) journal(o wal.Op) error {
 // journal reproduces the live session order bit for bit.
 func (c *Coordinator) removeSessionAt(idx int) {
 	last := len(c.sessions) - 1
-	id := c.sessions[idx].id
+	id := c.sessions[idx].ID
 	if idx != last {
 		moved := c.sessions[last]
 		c.sessions[idx] = moved
-		c.byID[moved.id] = idx
+		c.byID[moved.ID] = idx
 	}
-	c.sessions[last] = clusterSession{}
+	c.sessions[last] = wal.RouteSessionRecord{}
 	c.sessions = c.sessions[:last]
 	delete(c.byID, id)
 }
@@ -80,17 +79,9 @@ func (c *Coordinator) foldRecovered(rec *wal.Recovered) error {
 				return fmt.Errorf("cluster: recovered session %d routes through node %d of a %d-node topology (journal does not match -topology)", s.ID, m, n)
 			}
 		}
-		c.sessions = append(c.sessions, clusterSession{
-			id:     s.ID,
-			name:   s.Name,
-			arr:    ebb.Process{Rho: s.Rho, Lambda: s.Lambda, Alpha: s.Alpha},
-			route:  s.Route,
-			target: admission.Target{Delay: s.Delay, Eps: s.Eps},
-			hopIDs: s.HopIDs,
-			shards: s.Shards,
-		})
 		c.byID[s.ID] = i
 	}
+	c.sessions = st.Sessions
 	if st.NextID >= c.nextID {
 		c.nextID = st.NextID + 1
 	}
@@ -114,8 +105,8 @@ func (c *Coordinator) reconcile() {
 	for i := 0; i < len(c.sessions); {
 		s := c.sessions[i]
 		gone := false
-		for k, m := range s.route {
-			exists, known := c.probeHopSession(m, s.hopIDs[k])
+		for k, m := range s.Route {
+			exists, known := c.probeHopSession(m, s.HopIDs[k])
 			if known && !exists {
 				gone = true
 				break
@@ -125,23 +116,23 @@ func (c *Coordinator) reconcile() {
 			i++
 			continue
 		}
-		if err := c.journal(wal.Op{Kind: wal.KindRouteRelease, ID: s.id}); err != nil {
+		if err := c.journal(wal.Op{Kind: wal.KindRouteRelease, ID: s.ID}); err != nil {
 			// Keep it: a conservative model beats a lost tombstone.
 			i++
 			continue
 		}
-		c.releaseHops(s.route, s.hopIDs)
+		c.releaseHops(s.Route, s.HopIDs)
 		c.removeSessionAt(i) // the swapped-in tail element lands at i; re-check it
 		c.met.ReconcileDrops.Add(1)
 	}
 
 	referenced := make(map[int]map[uint64]bool)
 	for _, s := range c.sessions {
-		for k, m := range s.route {
+		for k, m := range s.Route {
 			if referenced[m] == nil {
 				referenced[m] = make(map[uint64]bool)
 			}
-			referenced[m][s.hopIDs[k]] = true
+			referenced[m][s.HopIDs[k]] = true
 		}
 	}
 	ttlMs := c.cfg.PrepareTTL.Milliseconds()
@@ -223,10 +214,13 @@ func (c *Coordinator) hopClusterSessions(m int) ([]hopClusterEntry, error) {
 	return out, nil
 }
 
-// BuildNetwork assembles the CRST model for a folded journal state:
-// topology nodes plus every recorded session in fold order with φ = ρ
-// at each hop — exactly the network the live coordinator analyzes, so
-// offline tooling (tools/walcheck) reproduces RouteBounds bit for bit.
+// BuildNetwork assembles the CRST model for a committed set: topology
+// nodes plus every recorded session in order with φ = ρ at each hop.
+// The live coordinator analyzes exactly this network (its committed
+// records, plus an admit's candidate last), and offline tooling
+// (tools/walcheck) builds it from the folded journal, so RouteBounds
+// reproduce bit for bit. Route and Phi slices are freshly built so the
+// analysis never aliases coordinator state.
 func BuildNetwork(topo Topology, sessions []wal.RouteSessionRecord) network.Network {
 	nw := network.Network{Nodes: make([]network.Node, len(topo.Nodes))}
 	for m, n := range topo.Nodes {

@@ -523,8 +523,9 @@ func BenchmarkCoordinatorChurn(b *testing.B) {
 	arr := ebb.Process{Rho: 1e-6, Lambda: 1, Alpha: 0.9}
 	insert := func(id uint64) {
 		c.byID[id] = len(c.sessions)
-		c.sessions = append(c.sessions, clusterSession{
-			id: id, arr: arr, route: []int{0}, hopIDs: []uint64{id}, shards: []int{0},
+		c.sessions = append(c.sessions, wal.RouteSessionRecord{
+			ID: id, Rho: arr.Rho, Lambda: arr.Lambda, Alpha: arr.Alpha,
+			Route: []int{0}, HopIDs: []uint64{id}, Shards: []int{0},
 		})
 	}
 	for id := uint64(1); id <= n; id++ {

@@ -62,10 +62,10 @@ func (c Class) String() string {
 // [Start, Start+Duration).
 type Event struct {
 	Class    Class
-	Node     int // target node (RateDegrade, Outage)
-	Session  int // target session (SessionLeave, ForwardDelay)
-	Start    int // first affected slot
-	Duration int // length in slots
+	Node     int     // target node (RateDegrade, Outage)
+	Session  int     // target session (SessionLeave, ForwardDelay)
+	Start    int     // first affected slot
+	Duration int     // length in slots
 	Severity float64 // RateDegrade: rate multiplier in (0, 1)
 	Extra    int     // ForwardDelay: additional hold slots per link
 }

@@ -50,9 +50,9 @@ func TestNewValidation(t *testing.T) {
 	cases := []Config{
 		{Horizon: 0},
 		{Horizon: 100, Nodes: -1},
-		{Horizon: 100, Nodes: 0, Degrade: ClassParams{Count: 1}},            // node fault, no nodes
-		{Horizon: 100, Sessions: 0, Churn: ClassParams{Count: 1}},           // session fault, no sessions
-		{Horizon: 100, Nodes: 1, Degrade: ClassParams{Count: -2}},           // negative count
+		{Horizon: 100, Nodes: 0, Degrade: ClassParams{Count: 1}},  // node fault, no nodes
+		{Horizon: 100, Sessions: 0, Churn: ClassParams{Count: 1}}, // session fault, no sessions
+		{Horizon: 100, Nodes: 1, Degrade: ClassParams{Count: -2}}, // negative count
 		{Horizon: 100, Nodes: 1, Degrade: ClassParams{Count: 1, MinSeverity: 0.9, MaxSeverity: 0.3}},
 	}
 	for i, cfg := range cases {
@@ -68,8 +68,8 @@ func TestFromEventsValidation(t *testing.T) {
 		{Class: RateDegrade, Node: 0, Start: 0, Duration: 1, Severity: 1.5}, // severity out of range
 		{Class: RateDegrade, Node: 0, Start: 0, Duration: 1, Severity: math.NaN()},
 		{Class: Outage, Node: -1, Start: 0, Duration: 1},
-		{Class: Outage, Node: 0, Start: -1, Duration: 1},   // negative start
-		{Class: Outage, Node: 0, Start: 0, Duration: 0},    // empty interval
+		{Class: Outage, Node: 0, Start: -1, Duration: 1}, // negative start
+		{Class: Outage, Node: 0, Start: 0, Duration: 0},  // empty interval
 		{Class: SessionLeave, Session: 9, Start: 0, Duration: 1},
 		{Class: ForwardDelay, Session: 0, Start: 0, Duration: 1, Extra: 0}, // no delay
 		{Class: Class(99), Start: 0, Duration: 1},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ebb"
 	"repro/internal/numeric"
 )
 
@@ -24,46 +25,36 @@ type Options struct {
 	SlackFraction float64
 }
 
-// Analysis is the full single-node result: the feasible partition and,
-// per session, the best bound object the selected theorems provide.
-//
-// An Analysis comes in two builds. AnalyzeServer materializes every
-// bound eagerly into Bounds/OrderingBounds. The DeltaAnalyzer produces
-// lazy analyses: Bounds and OrderingBounds stay nil and the bound
-// objects are constructed on demand from the retained memos — an O(1)
-// construction per session, so a per-op epoch never pays for N bound
-// objects nobody reads. Use PartitionBound/OrderingBound (or the Best*
-// evaluators and AdmissionDecision, which go through them) to stay
-// agnostic of the build; both produce bit-identical bound families.
+// Analysis is the full single-node result: the feasible partition, the
+// global feasible ordering, and the memos every per-session bound is
+// built from. Bound objects are constructed on demand — an O(1)
+// construction per session — so an analysis never pays for N bound
+// objects nobody reads; PartitionBound and OrderingBound (or the Best*
+// evaluators and AdmissionDecision, which go through them) are the
+// only way to a session's bounds.
 type Analysis struct {
 	Server    Server
 	Partition Partition
-	// Bounds[i] corresponds to Server.Sessions[i]. Each aggregates the
-	// partition-based family (Theorem 11/12), the Theorem 10 fixed tail
-	// for H_1 sessions, and is independent of any global ordering. Nil
-	// for lazily built analyses — use PartitionBound.
-	Bounds []*SessionBounds
-	// OrderingBounds[i] is the Theorem 7/8 bound for session i with
-	// respect to one global feasible ordering (the greedy min r/φ order);
-	// kept separately so the two routes can be compared (ablation). Nil
-	// for lazily built analyses — use OrderingBound.
-	OrderingBounds []*SessionBounds
-	// Ordering is the global feasible ordering used for OrderingBounds.
+	// Ordering is the global feasible ordering (the greedy min r/φ order)
+	// behind OrderingBound.
 	Ordering []int
-	// Rates are the decomposed rates r_i used for OrderingBounds.
+	// Rates are the decomposed rates r_i behind OrderingBound.
 	Rates []float64
 
 	opts Options
 	pm   *partitionMemo
 	om   *orderingMemo
 	// posOf[i] is session i's position in Ordering (the inverse
-	// permutation); set on lazy builds, where OrderingBounds cannot be
-	// indexed to recover it.
+	// permutation).
 	posOf []int
 }
 
-// AnalyzeServer validates the server and computes every per-session bound
-// the paper's single-node theory offers under the given options.
+// AnalyzeServer validates the server, derives its feasible partition
+// (eqs. 37–39) and its feasible ordering with the eq. (5) check, and
+// returns the analysis from which PartitionBound and OrderingBound build
+// every per-session bound the paper's single-node theory offers under
+// the given options. It is the one verified constructor: the
+// DeltaAnalyzer calls it wherever it has no previous ordering to repair.
 func AnalyzeServer(srv Server, opts Options) (*Analysis, error) {
 	if err := srv.Validate(); err != nil {
 		return nil, err
@@ -75,32 +66,6 @@ func AnalyzeServer(srv Server, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Server: srv, Partition: part, opts: opts}
-
-	// Partition-route bounds (Theorems 10/11/12). One memo carries the
-	// class geometry and per-class aggregates shared by every session.
-	a.pm = srv.newPartitionMemo(part)
-	a.Bounds = make([]*SessionBounds, len(srv.Sessions))
-	// Arena allocations: one block for all SessionBounds and one for
-	// every H_1 session's Theorem 10 tail, instead of a heap object per
-	// session.
-	boundsArena := make([]SessionBounds, len(srv.Sessions))
-	fixedArena := make([]numeric.ExpTail, len(part.Classes[0]))
-	nFixed := 0
-	for i := range srv.Sessions {
-		sb := &boundsArena[i]
-		var slot []numeric.ExpTail
-		if part.ClassOf[i] == 0 {
-			slot = fixedArena[nFixed : nFixed+1 : nFixed+1]
-			nFixed++
-		}
-		if err := a.partitionBoundInto(sb, i, slot); err != nil {
-			return nil, fmt.Errorf("gpsmath: session %d: %w", i, err)
-		}
-		a.Bounds[i] = sb
-	}
-
-	// Ordering-route bounds (Theorems 7/8), again via one shared memo.
 	rates, err := srv.DecomposedRates(opts.Split, opts.SlackFraction)
 	if err != nil {
 		return nil, err
@@ -109,28 +74,49 @@ func AnalyzeServer(srv Server, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.Ordering = ord
-	a.Rates = rates
-	a.om = srv.newOrderingMemoOwned(ord, rates)
-	a.OrderingBounds = make([]*SessionBounds, len(srv.Sessions))
-	ordArena := make([]SessionBounds, len(ord))
-	for pos := range ord {
-		sb := &ordArena[pos]
-		if err := a.orderingBoundInto(sb, pos); err != nil {
-			return nil, fmt.Errorf("gpsmath: ordering position %d: %w", pos, err)
-		}
-		a.OrderingBounds[sb.Index] = sb
+	return newAnalysis(srv, opts, part, ord, rates)
+}
+
+// newAnalysis assembles an analysis from its partition, ordering and
+// decomposed rates — handed over freshly allocated, never mutated
+// afterwards — and refuses it unless every session's bounds are
+// constructible (checkFeasible).
+func newAnalysis(srv Server, opts Options, part Partition, ord []int, rates []float64) (*Analysis, error) {
+	posOf := make([]int, len(ord))
+	for pos, i := range ord {
+		posOf[i] = pos
+	}
+	a := &Analysis{
+		Server:    srv,
+		Partition: part,
+		Ordering:  ord,
+		Rates:     rates,
+		opts:      opts,
+		pm:        srv.newPartitionMemo(part),
+		om:        srv.newOrderingMemoOwned(ord, rates),
+		posOf:     posOf,
+	}
+	if err := a.checkFeasible(); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-// partitionBoundInto builds session i's partition-route bound (Theorem
-// 11 or 12, plus the Theorem 10 fixed tail for H_1 sessions) into sb.
-// fixed, when non-nil, is a caller-provided one-element arena slot for
-// the Theorem 10 tail; nil allocates one. Both the eager AnalyzeServer
-// loop and the lazy accessors funnel through here, so the two builds
-// cannot drift.
-func (a *Analysis) partitionBoundInto(sb *SessionBounds, i int, fixed []numeric.ExpTail) error {
+// PartitionBound returns session i's partition-route bound (Theorem 11
+// or 12, plus the Theorem 10 fixed tail for H_1 sessions), constructed
+// on demand. Constructions are not cached: they are O(1), and a shared
+// cache would race the many readers an epoch snapshot serves
+// concurrently. Never nil for an index of a returned analysis:
+// checkFeasible refused every analysis one of these constructions could
+// fail on.
+func (a *Analysis) PartitionBound(i int) *SessionBounds {
+	// One allocation carries the bound and an H_1 session's Theorem 10
+	// tail.
+	b := new(struct {
+		sb    SessionBounds
+		fixed [1]numeric.ExpTail
+	})
+	sb := &b.sb
 	var err error
 	if a.opts.Independent {
 		err = a.pm.theorem11Into(sb, i, a.opts.Xi)
@@ -138,22 +124,19 @@ func (a *Analysis) partitionBoundInto(sb *SessionBounds, i int, fixed []numeric.
 		err = a.pm.theorem12Into(sb, i, nil, a.opts.Xi)
 	}
 	if err != nil {
-		return err
+		return nil
 	}
 	if a.Partition.ClassOf[i] != 0 {
-		return nil
+		return sb
 	}
 	ft, err := a.pm.theorem10(i)
 	if err != nil {
-		return err
+		return nil
 	}
-	if fixed == nil {
-		fixed = make([]numeric.ExpTail, 1)
-	}
-	fixed[0] = ft
-	sb.Fixed = fixed[:1:1]
-	// Constant strings for the common cases keep the hot construction
-	// path free of concat allocations.
+	b.fixed[0] = ft
+	sb.Fixed = b.fixed[:]
+	// Constant strings for the common cases keep the construction path
+	// free of concat allocations.
 	switch sb.Theorem {
 	case "thm11":
 		sb.Theorem = "thm11+thm10"
@@ -162,44 +145,20 @@ func (a *Analysis) partitionBoundInto(sb *SessionBounds, i int, fixed []numeric.
 	default:
 		sb.Theorem += "+thm10"
 	}
-	return nil
-}
-
-// orderingBoundInto builds the Theorem 7/8 bound for the session at
-// ordering position pos into sb.
-func (a *Analysis) orderingBoundInto(sb *SessionBounds, pos int) error {
-	if a.opts.Independent {
-		return a.om.theorem7Into(sb, pos, a.opts.Xi)
-	}
-	return a.om.theorem8Into(sb, pos, nil, a.opts.Xi)
-}
-
-// PartitionBound returns session i's partition-route bound object,
-// constructing it on demand when the analysis was built lazily. Lazy
-// constructions are not cached: they are O(1), and a shared cache would
-// race the many readers an epoch snapshot serves concurrently. Returns
-// nil only if construction fails, which checkFeasible excludes for any
-// analysis the DeltaAnalyzer publishes.
-func (a *Analysis) PartitionBound(i int) *SessionBounds {
-	if a.Bounds != nil {
-		return a.Bounds[i]
-	}
-	sb := new(SessionBounds)
-	if err := a.partitionBoundInto(sb, i, nil); err != nil {
-		return nil
-	}
 	return sb
 }
 
 // OrderingBound returns session i's Theorem 7/8 bound with respect to
-// the analysis's global feasible ordering, constructing it on demand
-// for lazy builds.
+// the analysis's global feasible ordering, constructed on demand.
 func (a *Analysis) OrderingBound(i int) *SessionBounds {
-	if a.OrderingBounds != nil {
-		return a.OrderingBounds[i]
-	}
 	sb := new(SessionBounds)
-	if err := a.orderingBoundInto(sb, a.posOf[i]); err != nil {
+	var err error
+	if a.opts.Independent {
+		err = a.om.theorem7Into(sb, a.posOf[i], a.opts.Xi)
+	} else {
+		err = a.om.theorem8Into(sb, a.posOf[i], nil, a.opts.Xi)
+	}
+	if err != nil {
 		return nil
 	}
 	return sb
@@ -213,16 +172,23 @@ func (a *Analysis) SessionG(i int) float64 { return a.pm.gOf(i) }
 // partition class (the eq. 38 geometry): ψ_i·(r - Σ_{earlier classes} ρ̃).
 func (a *Analysis) EffectiveRate(i int) float64 { return a.pm.geometry(i).gEff }
 
-// checkFeasible verifies that every session's bound family is
-// constructible — the same per-session guard the eager AnalyzeServer
-// loop applies (a session with no rate slack inside its class aborts the
-// analysis). The DeltaAnalyzer runs it before publishing a lazy
-// analysis, so the lazy accessors cannot fail afterwards.
+// checkFeasible verifies that every session's partition-route bound is
+// constructible, so PartitionBound cannot fail on a returned analysis.
+// Theorems 11/12 need rate slack inside the session's class (gEff > ρ).
+// An H_1 session's Theorem 10 tail runs Lemma 5 at g = φ/Σφ·r instead,
+// and g folds Σφ over the session slice where gEff folds it class by
+// class, so the two can straddle ρ by an ulp: its slack is checked on
+// its own, exactly as ebb.Process.DeltaTail refuses it. The ordering
+// route's constructors cannot fail for a position of the ordering.
 func (a *Analysis) checkFeasible() error {
 	for i := range a.Server.Sessions {
-		if geo := a.pm.geometry(i); !(geo.epsBudget > 0) {
-			return fmt.Errorf("gpsmath: session %d has no rate slack in its class (gEff = %v, rho = %v)",
-				i, geo.gEff, a.Server.Sessions[i].Arrival.Rho)
+		rho := a.Server.Sessions[i].Arrival.Rho
+		geo := a.pm.geometry(i)
+		if !(geo.epsBudget > 0) {
+			return fmt.Errorf("gpsmath: session %d has no rate slack in its class (gEff = %v, rho = %v)", i, geo.gEff, rho)
+		}
+		if geo.class == 0 && a.pm.gOf(i)-rho <= 0 {
+			return fmt.Errorf("gpsmath: session %d: Theorem 10 at g = %v: %w", i, a.pm.gOf(i), ebb.ErrRateTooSmall)
 		}
 	}
 	return nil
@@ -252,8 +218,8 @@ func (a *Analysis) BestDelayTailValue(i int, d float64) float64 {
 }
 
 // BestDelayTailFrom is BestDelayTailValue for a caller that already
-// holds p, session i's partition-route bound at delay d (gpsd memoizes
-// it per session type): the ordering route's bound replaces p only when
+// holds p, session i's partition-route bound at delay d (gpsd evaluates
+// it once per session type): the ordering route's bound replaces p only when
 // strictly lower, bit for bit as in BestDelayTailValue.
 func (a *Analysis) BestDelayTailFrom(i int, d, p float64) float64 {
 	if b := a.OrderingBound(i); b != nil {

@@ -1,9 +1,11 @@
 package gpsmath
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/ebb"
 	"repro/internal/numeric"
 )
 
@@ -62,7 +64,7 @@ func TestBestOutputEBBDownstreamBelowRho(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := a.Bounds[0]
+	sb := a.PartitionBound(0)
 	// Downstream rate below rho: the fallback path minimizes Λ directly.
 	out, err := sb.BestOutputEBB(0.1)
 	if err != nil {
@@ -76,7 +78,7 @@ func TestBestOutputEBBDownstreamBelowRho(t *testing.T) {
 func TestBacklogTailAtOutOfRange(t *testing.T) {
 	srv := set1Server(t)
 	a, _ := AnalyzeServer(srv, Options{Independent: true, Xi: XiOne})
-	sb := a.Bounds[0]
+	sb := a.PartitionBound(0)
 	tail := sb.BacklogTailAt(sb.ThetaMax * 2)
 	if !math.IsInf(tail.Prefactor, 1) {
 		t.Errorf("out-of-range theta prefactor = %v, want +Inf", tail.Prefactor)
@@ -106,5 +108,36 @@ func TestZeroPrefactorFamilyQuantile(t *testing.T) {
 	}
 	if v := sb.BacklogTail(0.5); v != 0 {
 		t.Errorf("tail with zero prefactor = %v, want 0", v)
+	}
+}
+
+// TestCheckFeasibleCoversTheorem10 pins the one guard on a returned
+// analysis: an H_1 session whose Theorem 11 slack is positive (gEff > ρ)
+// while its Theorem 10 slack is not (g ≤ ρ) must be refused, not
+// returned with a PartitionBound that fails. g folds Σφ over the session
+// slice and gEff class by class; with φ = [2^-53, 2^-53, 1] and classes
+// {0, 2}, {1}, the slice fold rounds Σφ up to 1+2^-52 while the class
+// fold rounds it to 1, so g = 1−2^-52 = ρ_2 < gEff = 1. The partition
+// is passed in by hand: FeasiblePartition's own threshold keeps this
+// population's session 2 out of H_1.
+func TestCheckFeasibleCoversTheorem10(t *testing.T) {
+	tiny := math.Ldexp(1, -53)
+	srv := Server{Rate: 1, Sessions: []Session{
+		{Name: "a", Phi: tiny, Arrival: ebb.Process{Rho: math.Ldexp(1, -60), Lambda: 1, Alpha: 1}},
+		{Name: "b", Phi: tiny, Arrival: ebb.Process{Rho: math.Ldexp(1, -60), Lambda: 1, Alpha: 1}},
+		{Name: "c", Phi: 1, Arrival: ebb.Process{Rho: 1 - math.Ldexp(1, -52), Lambda: 1, Alpha: 1}},
+	}}
+	part := Partition{Classes: [][]int{{0, 2}, {1}}, ClassOf: []int{0, 1, 0}}
+	pm := srv.newPartitionMemo(part)
+	if geo := pm.geometry(2); !(geo.epsBudget > 0) {
+		t.Fatalf("setup: session 2 has no Theorem 11 slack (gEff = %v)", geo.gEff)
+	}
+	if _, err := pm.theorem10(2); !errors.Is(err, ebb.ErrRateTooSmall) {
+		t.Fatalf("setup: Theorem 10 for session 2 = %v, want ErrRateTooSmall", err)
+	}
+	ord := []int{0, 1, 2}
+	_, err := newAnalysis(srv, Options{Independent: true}, part, ord, []float64{tiny, tiny, 1 - math.Ldexp(1, -52)})
+	if !errors.Is(err, ebb.ErrRateTooSmall) {
+		t.Fatalf("newAnalysis = %v, want a refusal wrapping ErrRateTooSmall", err)
 	}
 }

@@ -144,7 +144,7 @@ func TestBacklogQuantileInvertsBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := a.Bounds[0]
+	sb := a.PartitionBound(0)
 	for _, eps := range []float64{1e-2, 1e-4, 1e-6} {
 		q := sb.BacklogQuantile(eps)
 		if math.IsInf(q, 1) {
@@ -341,16 +341,17 @@ func TestAnalyzeServerRPPS(t *testing.T) {
 	if a.Partition.L() != 1 {
 		t.Errorf("partition classes = %d, want 1", a.Partition.L())
 	}
-	for i, sb := range a.Bounds {
+	for i := range srv.Sessions {
+		sb := a.PartitionBound(i)
 		if len(sb.Fixed) == 0 {
 			t.Errorf("session %d: RPPS session missing Theorem 10 fixed tail", i)
 		}
 		if sb.Index != i {
-			t.Errorf("Bounds[%d].Index = %d", i, sb.Index)
+			t.Errorf("PartitionBound(%d).Index = %d", i, sb.Index)
 		}
-		ob := a.OrderingBounds[i]
+		ob := a.OrderingBound(i)
 		if ob == nil || ob.Index != i {
-			t.Errorf("OrderingBounds[%d] misaligned", i)
+			t.Errorf("OrderingBound(%d) misaligned", i)
 		}
 		// Combined best bound behaves like a tail.
 		if v := a.BestDelayTailValue(i, 0); v != 1 && v > 1 {
@@ -374,9 +375,10 @@ func TestAnalyzeServerDependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range srv.Sessions {
+		depB, indB := a.OrderingBound(i), ai.OrderingBound(i)
 		for _, q := range []float64{2, 5, 10} {
-			dep := a.OrderingBounds[i].BacklogTail(q)
-			ind := ai.OrderingBounds[i].BacklogTail(q)
+			dep := depB.BacklogTail(q)
+			ind := indB.BacklogTail(q)
 			if ind > dep*(1+1e-9) {
 				t.Errorf("session %d q=%v: independent bound %v worse than dependent %v", i, q, ind, dep)
 			}
@@ -439,7 +441,7 @@ func TestAdmissionDecision(t *testing.T) {
 func TestOutputEBB(t *testing.T) {
 	srv := set1Server(t)
 	a, _ := AnalyzeServer(srv, Options{Independent: true, Xi: XiOptimal})
-	sb := a.Bounds[2]
+	sb := a.PartitionBound(2)
 	theta := sb.ThetaMax / 2
 	out, err := sb.OutputEBB(theta)
 	if err != nil {
@@ -479,8 +481,8 @@ func TestPartitionRouteBeatsOrderingRouteForLastSession(t *testing.T) {
 	a, _ := AnalyzeServer(srv, Options{Independent: true, Xi: XiOptimal})
 	last := a.Ordering[len(a.Ordering)-1]
 	q := 60.0
-	pv := a.Bounds[last].BacklogTail(q)
-	ov := a.OrderingBounds[last].BacklogTail(q)
+	pv := a.PartitionBound(last).BacklogTail(q)
+	ov := a.OrderingBound(last).BacklogTail(q)
 	if pv > ov {
 		t.Errorf("partition bound %v worse than ordering bound %v at q=%v", pv, ov, q)
 	}

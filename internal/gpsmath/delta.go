@@ -29,10 +29,10 @@ import (
 //     previous epoch's ordering lands on the same permutation a fresh
 //     sort would, element for element. The seed a batch hands the
 //     repair changes its cost, never its result.
-//  3. The per-session bound constructors live behind the shared
-//     partitionMemo/orderingMemo machinery, and the lazy Analysis
-//     accessors construct bounds through the same *Into helpers the
-//     eager path uses — there is no second implementation to drift.
+//  3. Both refresh paths end in the one assembly helper AnalyzeServer
+//     uses (newAnalysis): the same memos, the same feasibility guard,
+//     the same on-demand bound constructors — there is no second
+//     implementation to drift.
 //
 // What stays O(N): the decomposed rates r_i = ρ_i + slack/N change for
 // every session on every refresh (slack and N both move), so the rate
@@ -40,11 +40,8 @@ import (
 // sweep remain lean linear float passes (~a few ms at 131k sessions),
 // paid once per batch however many ops it holds. What the delta path
 // eliminates is everything superlinear or heavyweight: the O(N log N)
-// sort (repaired in O(N + moves)), the eq. (5) verification pass, and
-// above all the O(N) construction of per-session bound objects and
-// their Θ(N)-cost ordering-route prefactors — the dominant cost of a
-// fresh build. Bounds are constructed lazily, only for the sessions a
-// caller actually evaluates.
+// sorts (the ordering repaired in O(N + moves), the partition scanned
+// over the maintained ρ/φ ratios) and the eq. (5) verification pass.
 
 // DeltaStats counts how the analyzer's refreshes fixed the ordering.
 type DeltaStats struct {
@@ -92,10 +89,9 @@ type DeltaAnalyzer struct {
 }
 
 // NewDeltaAnalyzer seeds an analyzer with the server's sessions and
-// computes the initial analysis along the fully verified fresh path
-// (Server.Validate, FeasibleOrdering's eq. (5) check). An empty session
-// slice is permitted — Analysis returns nil until a refresh over a
-// nonempty population.
+// computes the initial analysis with the verified constructor,
+// AnalyzeServer. An empty session slice is permitted — Analysis returns
+// nil until a refresh over a nonempty population.
 func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
 	if opts.SlackFraction == 0 {
 		opts.SlackFraction = 1
@@ -113,8 +109,7 @@ func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
 	for i := range d.sess {
 		d.pRatio[i] = d.sess[i].Arrival.Rho / d.sess[i].Phi
 	}
-	// With no last ordering to seed it, the refresh takes the verified
-	// path.
+	// With no last ordering to seed it, the refresh runs AnalyzeServer.
 	if _, err := d.Refresh(); err != nil {
 		return nil, err
 	}
@@ -235,7 +230,7 @@ func (d *DeltaAnalyzer) Refresh() (*Analysis, error) {
 // seed is the ordering repair's starting permutation: the last
 // refreshed ordering carried through the batch's swap-removes, with the
 // sessions admitted since appended at the end. nil — the verified
-// path — when there is no last ordering.
+// constructor — when there is no last ordering.
 func (d *DeltaAnalyzer) seed() []int {
 	if d.an == nil {
 		return nil
@@ -268,77 +263,53 @@ func (d *DeltaAnalyzer) seed() []int {
 }
 
 // refresh rebuilds the analysis for the current session slice. A nil
-// seed takes the fully verified fresh path (Validate + FeasibleOrdering
-// with its eq. (5) check); a non-nil seed is a near-sorted candidate
-// permutation covering [0, len(sess)) that is repaired in place.
+// seed runs the verified constructor, AnalyzeServer; a non-nil seed is
+// a near-sorted candidate permutation covering [0, len(sess)) that is
+// repaired in place.
 //
 // The repair path skips the eq. (5) verification: the greedy min r/φ
 // order satisfies eq. (5) whenever Σr_i <= r (paper §3), and
 // DecomposedRates guarantees exactly that by construction — it errors
 // with ErrOverloaded before producing rates otherwise. The daemon's
-// periodic self-check re-runs the verified path against the same
+// periodic self-check re-runs the verified constructor against the same
 // population, so a violation could not persist silently even if the
 // rates were somehow inconsistent.
 func (d *DeltaAnalyzer) refresh(seed []int) error {
 	srv := Server{Rate: d.rate, Sessions: d.sess}
-	var (
-		rates []float64
-		ord   []int
-		err   error
-	)
 	if seed == nil {
-		if err = srv.Validate(); err != nil {
+		an, err := AnalyzeServer(srv, d.opts)
+		if err != nil {
 			return err
 		}
-		if rates, err = srv.DecomposedRates(d.opts.Split, d.opts.SlackFraction); err != nil {
-			return err
-		}
-		if ord, err = srv.FeasibleOrdering(rates); err != nil {
-			return err
-		}
+		d.an = an
+		return nil
+	}
+	rates, err := srv.DecomposedRates(d.opts.Split, d.opts.SlackFraction)
+	if err != nil {
+		return err
+	}
+	n := len(seed)
+	if cap(d.ratioScratch) < n {
+		d.ratioScratch = make([]float64, n, n+n/2+8)
+	}
+	// Same expression as FeasibleOrdering's ratio fill: the slack moved,
+	// so every ratio is recomputed (bit-identically).
+	ratio := d.ratioScratch[:n]
+	for i := range ratio {
+		ratio[i] = rates[i] / d.sess[i].Phi
+	}
+	if repairOrder(seed, ratio) {
+		d.stats.OrderRepairs++
 	} else {
-		if rates, err = srv.DecomposedRates(d.opts.Split, d.opts.SlackFraction); err != nil {
-			return err
-		}
-		n := len(seed)
-		if cap(d.ratioScratch) < n {
-			d.ratioScratch = make([]float64, n, n+n/2+8)
-		}
-		// Same expression as FeasibleOrdering's ratio fill: the slack
-		// moved, so every ratio is recomputed (bit-identically).
-		ratio := d.ratioScratch[:n]
-		for i := range ratio {
-			ratio[i] = rates[i] / d.sess[i].Phi
-		}
-		ord = seed
-		if repairOrder(ord, ratio) {
-			d.stats.OrderRepairs++
-		} else {
-			sort.Sort(ratioOrder{idx: ord, ratio: ratio})
-			d.stats.OrderSorts++
-		}
+		sort.Sort(ratioOrder{idx: seed, ratio: ratio})
+		d.stats.OrderSorts++
 	}
 	part, err := d.partition(srv)
 	if err != nil {
 		return err
 	}
-	posOf := make([]int, len(ord))
-	for pos, i := range ord {
-		posOf[i] = pos
-	}
-	an := &Analysis{
-		Server:    srv,
-		Partition: part,
-		Ordering:  ord,
-		Rates:     rates,
-		opts:      d.opts,
-		pm:        srv.newPartitionMemo(part),
-		om:        srv.newOrderingMemoOwned(ord, rates),
-		posOf:     posOf,
-	}
-	// Surface the per-session slack guard now, so the lazy accessors of
-	// a published analysis cannot fail later.
-	if err := an.checkFeasible(); err != nil {
+	an, err := newAnalysis(srv, d.opts, part, seed, rates)
+	if err != nil {
 		return err
 	}
 	d.an = an

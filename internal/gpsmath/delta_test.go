@@ -85,14 +85,14 @@ func compareStructure(t *testing.T, tag string, got, want *Analysis) {
 	}
 }
 
-// compareBounds pins session i's lazily constructed delta bounds to the
-// fresh eager ones: scalar fields and prefactor evaluations bit for
+// compareBounds pins session i's delta-built bounds to the fresh
+// AnalyzeServer ones: scalar fields and prefactor evaluations bit for
 // bit, plus the evaluated tails.
 func compareBounds(t *testing.T, tag string, got, want *Analysis, i int) {
 	t.Helper()
 	pairs := [2][2]*SessionBounds{
-		{got.PartitionBound(i), want.Bounds[i]},
-		{got.OrderingBound(i), want.OrderingBounds[i]},
+		{got.PartitionBound(i), want.PartitionBound(i)},
+		{got.OrderingBound(i), want.OrderingBound(i)},
 	}
 	for r, pair := range pairs {
 		route := [...]string{"partition", "ordering"}[r]

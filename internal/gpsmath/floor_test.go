@@ -123,10 +123,13 @@ var floorOptions = []Options{
 	{Independent: false, Xi: XiOne},
 }
 
-// builds returns the eager and the lazy analysis of one server.
+// builds returns the analysis of one server from AnalyzeServer and from
+// a NewDeltaAnalyzer, whose verified build is AnalyzeServer too: the
+// pair checks the constructor against itself, through both entry
+// points.
 func builds(t testing.TB, srv Server, opts Options) [2]*Analysis {
 	t.Helper()
-	eager, err := AnalyzeServer(srv, opts)
+	fresh, err := AnalyzeServer(srv, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +137,7 @@ func builds(t testing.TB, srv Server, opts Options) [2]*Analysis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return [2]*Analysis{eager, d.Analysis()}
+	return [2]*Analysis{fresh, d.Analysis()}
 }
 
 // specialLevels are the edge evaluation points: zero, NaN, +Inf, huge
@@ -232,7 +235,7 @@ func TestLemma6FloorBelowPrefactor(t *testing.T) {
 // Best* value, every AdmissionDecision verdict and probability, and
 // every minWith result equals the unpruned oracle bit for bit — over
 // random multi-class populations with φ unrelated to the required rate,
-// both theorems and both ξ modes, eager and lazy builds, explicit
+// both theorems and both ξ modes, both constructor entry points, explicit
 // Hölder exponents, the special levels 0, NaN, +Inf, huge and negative,
 // and samples of the three gpsdbench populations.
 func TestFloorMatchesOracle(t *testing.T) {
@@ -328,7 +331,7 @@ func TestFloorMatchesOracle(t *testing.T) {
 		palette []benchType
 		n       int
 		load    float64
-		eager   bool
+		both    bool
 	}{
 		// node-churn's population, and node-131k's; node-sharded-read
 		// splits 50k sessions over two shards, each analyzing about 25k
@@ -351,7 +354,7 @@ func TestFloorMatchesOracle(t *testing.T) {
 			// affordable.
 			opts := Options{Independent: true, Xi: XiOptimal}
 			var ans []*Analysis
-			if pc.eager {
+			if pc.both {
 				b := builds(t, srv, opts)
 				ans = b[:]
 			} else {

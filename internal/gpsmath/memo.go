@@ -160,10 +160,11 @@ func (m *orderingMemo) termOf(j int) mgfTerm {
 // session at position pos of m's ordering and its predecessors, each
 // raised to the Hölder power p_j the prefactor applies — 1 for Theorem
 // 7 (inv 0), α_j·inv on the Theorem 8 auto-exponent path. It is a
-// three-word value inside SessionBounds, so the eager build's bound
-// arenas carry it without a per-session allocation. The zero value
-// (m nil) knows no floor; explicit Hölder exponents, a public-API
-// escape hatch no Analysis uses, get the zero value and always evaluate.
+// three-word value inside SessionBounds, so attaching it adds no
+// allocation to the on-demand construction every read pays. The zero
+// value (m nil) knows no floor; explicit Hölder exponents, a public-API
+// escape hatch no Analysis uses, get the zero value and always
+// evaluate.
 type lemma6Floor struct {
 	m   *orderingMemo
 	pos int
@@ -201,8 +202,7 @@ func (m *orderingMemo) theorem7(pos int, mode XiMode) (*SessionBounds, error) {
 	return sb, nil
 }
 
-// theorem7Into fills a caller-provided SessionBounds (callers building
-// bounds for every session arena-allocate them in one block).
+// theorem7Into fills a caller-provided SessionBounds.
 func (m *orderingMemo) theorem7Into(sb *SessionBounds, pos int, mode XiMode) error {
 	if pos < 0 || pos >= len(m.ord) {
 		return fmt.Errorf("gpsmath: position %d outside ordering of length %d", pos, len(m.ord))

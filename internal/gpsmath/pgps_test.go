@@ -12,7 +12,7 @@ func pgpsFixture(t *testing.T) (*SessionBounds, *PGPSBounds) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fluid := a.Bounds[0]
+	fluid := a.PartitionBound(0)
 	p, err := NewPGPSBounds(fluid, 0.5, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func TestAnalysisBoundsProperty(t *testing.T) {
 			return false
 		}
 		for i := range srv.Sessions {
-			for _, set := range [][]*SessionBounds{{an.Bounds[i]}, {an.OrderingBounds[i]}} {
+			for _, set := range [][]*SessionBounds{{an.PartitionBound(i)}, {an.OrderingBound(i)}} {
 				sb := set[0]
 				prev := 1.1
 				for q := 0.0; q <= 80; q += 8 {

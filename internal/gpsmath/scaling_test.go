@@ -232,12 +232,16 @@ func TestAnalyzeServerLargeN(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeServer(4096): %v", err)
 	}
-	if len(a.Bounds) != 4096 || len(a.OrderingBounds) != 4096 {
-		t.Fatalf("bounds sets: %d partition, %d ordering, want 4096 each",
-			len(a.Bounds), len(a.OrderingBounds))
+	if len(a.Ordering) != 4096 || len(a.Partition.ClassOf) != 4096 {
+		t.Fatalf("analysis shape: %d ordered, %d classified, want 4096 each",
+			len(a.Ordering), len(a.Partition.ClassOf))
 	}
-	for i := range a.Bounds {
-		if a.Bounds[i].ThetaMax <= 0 || a.OrderingBounds[i].ThetaMax <= 0 {
+	for i := range srv.Sessions {
+		pb, ob := a.PartitionBound(i), a.OrderingBound(i)
+		if pb == nil || ob == nil {
+			t.Fatalf("session %d: nil bound (partition %v, ordering %v)", i, pb == nil, ob == nil)
+		}
+		if pb.ThetaMax <= 0 || ob.ThetaMax <= 0 {
 			t.Fatalf("session %d: non-positive θ ceiling", i)
 		}
 	}

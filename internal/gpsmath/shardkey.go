@@ -6,8 +6,8 @@ import "math"
 // key is the ρ/φ ratio — the quantity the feasible-partition recursion
 // (eqs. 37–39) orders sessions by — so sessions of one declared type
 // (same arrival, same required rate) always land on the same shard and
-// a shard's per-type bookkeeping (eval cache, type fold) keeps working
-// at full strength. The ratio's bits are mixed through a splitmix64
+// a shard's per-type bookkeeping (the type fold) keeps working at full
+// strength. The ratio's bits are mixed through a splitmix64
 // finalizer so adjacent service classes spread across shards instead
 // of clustering in the low bits.
 func ShardOf(rho, phi float64, n int) int {

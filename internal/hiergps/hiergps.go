@@ -115,7 +115,11 @@ func (s Server) Analyze(opts gpsmath.Options) ([]MemberBounds, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hiergps: group %s: %w", g.Name, err)
 		}
-		out[gi] = MemberBounds{Group: g.Name, Bounds: a.Bounds}
+		bounds := make([]*gpsmath.SessionBounds, len(g.Members))
+		for mi := range bounds {
+			bounds[mi] = a.PartitionBound(mi)
+		}
+		out[gi] = MemberBounds{Group: g.Name, Bounds: bounds}
 	}
 	return out, nil
 }

@@ -63,7 +63,7 @@ func TestOutputEBBHoldsOnDepartures(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4; i++ {
-		sb := a.Bounds[i]
+		sb := a.PartitionBound(i)
 		out, err := sb.OutputEBB(sb.ThetaMax / 2)
 		if err != nil {
 			t.Fatal(err)
@@ -131,7 +131,8 @@ func TestOutputFeedsDownstreamAnalysis(t *testing.T) {
 		err error
 	}, 4)
 	srv2 := gpsmath.Server{Rate: 1}
-	for i, sb := range a.Bounds {
+	for i := range a.Server.Sessions {
+		sb := a.PartitionBound(i)
 		out, err := sb.OutputEBB(sb.ThetaMax / 2)
 		outs[i].err = err
 		if err != nil {
@@ -145,8 +146,8 @@ func TestOutputFeedsDownstreamAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sb := range a2.Bounds {
-		if v := sb.BacklogTail(200); v > 1e-3 {
+	for i := range srv2.Sessions {
+		if v := a2.PartitionBound(i).BacklogTail(200); v > 1e-3 {
 			t.Errorf("downstream session %d: bound at 200 = %v (not decaying)", i, v)
 		}
 	}

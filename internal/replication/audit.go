@@ -449,21 +449,15 @@ func earliestAvailableSeq(dir string) (uint64, error) {
 	haveSeg := false
 	var snapSeq uint64
 	for _, e := range entries {
-		name := e.Name()
+		s, ok := wal.FileSeq(e.Name())
 		switch {
-		case wal.IsSegmentName(name):
-			var s uint64
-			if _, err := fmt.Sscanf(name, "wal-%x.seg", &s); err == nil {
-				if !haveSeg || s < first {
-					first = s
-					haveSeg = true
-				}
+		case !ok:
+		case wal.IsSegmentName(e.Name()):
+			if !haveSeg || s < first {
+				first, haveSeg = s, true
 			}
-		case wal.IsSnapshotName(name):
-			var s uint64
-			if _, err := fmt.Sscanf(name, "snap-%x.snap", &s); err == nil && s > snapSeq {
-				snapSeq = s
-			}
+		case s > snapSeq:
+			snapSeq = s
 		}
 	}
 	if haveSeg {

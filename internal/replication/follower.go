@@ -581,8 +581,8 @@ func (f *Follower) verifyGroup(prefix string, files []ManifestFile) (ack uint64,
 			if !isSnap(base) {
 				continue
 			}
-			var s uint64
-			if _, serr := fmt.Sscanf(base, "snap-%x.snap", &s); serr != nil || s <= snapTop {
+			s, ok := wal.FileSeq(base)
+			if !ok || s <= snapTop {
 				continue
 			}
 			if st, serr := wal.ReadSnapshotState(filepath.Join(f.o.Dir, filepath.FromSlash(mf.Name))); serr == nil && st.Seq == s {

@@ -347,10 +347,10 @@ func TestFollowerCrashpoints(t *testing.T) {
 // growing jittered sleeps and exits on context cancellation.
 func TestFollowerRunBackoff(t *testing.T) {
 	f, err := NewFollower(FollowerOptions{
-		ID:         "f1",
-		PrimaryURL: "http://127.0.0.1:1", // nothing listens here
-		Dir:        t.TempDir(),
-		Client:     &http.Client{Timeout: 50 * time.Millisecond},
+		ID:          "f1",
+		PrimaryURL:  "http://127.0.0.1:1", // nothing listens here
+		Dir:         t.TempDir(),
+		Client:      &http.Client{Timeout: 50 * time.Millisecond},
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  20 * time.Millisecond,
 		Rand:        rand.New(rand.NewSource(42)),

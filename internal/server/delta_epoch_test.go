@@ -28,7 +28,7 @@ func admitType(t *testing.T, d *Daemon, k int) uint64 {
 }
 
 // checkEpochAgainstDirect recomputes every published count the slow
-// way — ClassifyUnderRate for the revalidation counts, a fresh eager
+// way — ClassifyUnderRate for the revalidation counts, a fresh
 // AnalyzeServer plus AdmissionDecision for TargetsMet — and requires
 // exact agreement with the epoch's per-type folded bookkeeping.
 func checkEpochAgainstDirect(t *testing.T, d *Daemon, ep *Epoch) {
@@ -135,18 +135,17 @@ func TestDeltaEpochChurnMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestTypeEvalCacheReused pins the satellite fix: across epochs whose
-// population oscillates by one session of an unrelated type, the
-// φ-unchanged types' target evaluations come from the cross-epoch memo
-// instead of being recomputed, and the counts stay exact.
-func TestTypeEvalCacheReused(t *testing.T) {
+// TestTypeFoldOscillatingChurn pins the per-type target fold across
+// epochs whose population oscillates by one session of one type: every
+// publish re-evaluates each type once, and the folded counts stay exact
+// against the per-session AdmissionDecision.
+func TestTypeFoldOscillatingChurn(t *testing.T) {
 	d := newTestDaemon(t, Config{Rate: 80, MaxEpochAge: time.Hour, MaxBatch: 1 << 30})
 	for k := range testTypes {
 		admitType(t, d, k)
 		admitType(t, d, k)
 	}
 	checkEpochAgainstDirect(t, d, forceRebuild(t, d))
-	miss0 := d.met.TypeEvalMisses.Load()
 	for round := 0; round < 6; round++ {
 		id := admitType(t, d, round%len(testTypes))
 		checkEpochAgainstDirect(t, d, forceRebuild(t, d))
@@ -154,14 +153,6 @@ func TestTypeEvalCacheReused(t *testing.T) {
 			t.Fatalf("release: ok=%v err=%v", ok, err)
 		}
 		checkEpochAgainstDirect(t, d, forceRebuild(t, d))
-	}
-	if d.met.TypeEvalHits.Load() == 0 {
-		t.Error("oscillating churn never hit the cross-epoch target memo")
-	}
-	// Releasing back to a previously seen population must be all hits:
-	// every (type, g, gEff) tuple was evaluated before.
-	if grew := d.met.TypeEvalMisses.Load() - miss0; grew > 6*int64(len(testTypes)+1) {
-		t.Errorf("eval misses grew by %d across 12 oscillating epochs; memo not reused", grew)
 	}
 }
 

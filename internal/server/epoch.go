@@ -92,14 +92,11 @@ func (d *Daemon) rebuild() error {
 		// The ledger moved this shard's capacity slice since the last
 		// publish. SetRate stages it into the batch's one refresh
 		// (bit-identical to a fresh analyzer at the new capacity); a rate
-		// it refuses — a zero-capacity shard — drops the analyzer. The
-		// cross-epoch eval memo keys on per-session geometry that the
-		// capacity shift invalidates wholesale, so it is flushed.
+		// it refuses — a zero-capacity shard — drops the analyzer.
 		d.capDirty = false
 		if d.delta != nil && d.delta.SetRate(d.capacity) != nil {
 			d.delta = nil
 		}
-		d.evalCache = nil
 	}
 	ep, err := d.buildEpoch(d.epoch.Load().Seq + 1)
 	d.lastRebuild = time.Now()
@@ -245,26 +242,13 @@ func (d *Daemon) finishEpoch(seq uint64, delta bool) *Epoch {
 	return ep
 }
 
-// evalKey memoizes a session type's achieved eps across epochs. The
-// partition-route delay bound of an H_1 session is a pure function of
-// its (arrival, target) tuple, its guaranteed rate g and its effective
-// rate gEff — H_1 bounds involve no other-class aggregates — so when
-// none of those moved between epochs the Θ(θ-grid) tail evaluation is
-// skipped entirely. Keying the floats by their bits keeps the lookup a
-// pure epoch-to-epoch identity test.
-type evalKey struct {
-	k             rateKey
-	gBits, geBits uint64
-}
-
-// evalCacheMax bounds the achieved-eps memo; on overflow the map is
-// dropped and rebuilt (entries are two words, the bound is generous).
-const evalCacheMax = 8192
-
 // countTargets computes Epoch.TargetsMet: the AdmissionDecision
 // predicate (partition-route delay bound at the declared target,
 // ordering route consulted only on a miss) evaluated once per declared
-// session type instead of once per session. Sessions of one type share
+// session type and publish instead of once per session. There is no
+// memo across publishes: a type's value moves with g and gEff, and both
+// move whenever Σφ or the shard capacity does, which under churn is
+// every publish. Sessions of one type share
 // every determinant of the partition-route bound — same arrival, same
 // φ, hence the same ρ/φ ratio, the same partition class, and the same
 // ψ/gEff geometry — so the per-type value is bit-identical to the
@@ -289,32 +273,7 @@ func (d *Daemon) countTargets(ep *Epoch) {
 		if !ok {
 			continue
 		}
-		var ck evalKey
-		cacheable := an.Partition.ClassOf[i] == 0
-		p := math.Inf(1)
-		hit := false
-		if cacheable {
-			ck = evalKey{k: key, gBits: math.Float64bits(an.SessionG(i)), geBits: math.Float64bits(an.EffectiveRate(i))}
-			if v, ok := d.evalCache[ck]; ok {
-				p, hit = v, true
-				d.met.TypeEvalHits.Add(1)
-			}
-		}
-		if !hit {
-			if b := an.PartitionBound(i); b != nil {
-				p = b.DelayTail(key.delay)
-			}
-			d.met.TypeEvalMisses.Add(1)
-			if cacheable {
-				if len(d.evalCache) >= evalCacheMax {
-					d.evalCache = nil
-				}
-				if d.evalCache == nil {
-					d.evalCache = make(map[evalKey]float64, 64)
-				}
-				d.evalCache[ck] = p
-			}
-		}
+		p := an.PartitionBound(i).DelayTail(key.delay)
 		if p <= key.eps {
 			ep.TargetsMet += te.count()
 			continue
@@ -360,7 +319,7 @@ func (d *Daemon) countClassify(ep *Epoch) {
 	}
 }
 
-// selfCheck compares a delta-built epoch's analysis against an eager
+// selfCheck compares a delta-built epoch's analysis against a
 // from-scratch AnalyzeServer over the same session slice. A mismatch
 // is surfaced as a metric, the fresh analysis is adopted into the
 // epoch (with its bookkeeping recomputed), and the incremental
@@ -374,7 +333,6 @@ func (d *Daemon) selfCheck(ep *Epoch) {
 	if err != nil || !analysesEquivalent(ep.Analysis, fresh, int(ep.Seq)) {
 		d.met.SelfCheckFailures.Add(1)
 		d.delta = nil
-		d.evalCache = nil
 		if err != nil {
 			return
 		}

@@ -50,15 +50,9 @@ type errorResponse struct {
 // it never panics. The fuzz target FuzzAdmitDecode pins both halves of
 // that contract.
 func decodeAdmit(r io.Reader) (AdmitRequest, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxAdmitBody))
-	dec.DisallowUnknownFields()
 	var w admitWire
-	if err := dec.Decode(&w); err != nil {
-		return AdmitRequest{}, fmt.Errorf("decode: %w", err)
-	}
-	// One request per body: trailing garbage is a malformed request.
-	if dec.More() {
-		return AdmitRequest{}, errors.New("decode: trailing data after request object")
+	if err := decodeBody(r, &w); err != nil {
+		return AdmitRequest{}, err
 	}
 	req := AdmitRequest{
 		Name:    w.Name,
@@ -194,8 +188,8 @@ type txWire struct {
 }
 
 // decodeBody decodes one JSON object into v with the admit path's
-// strictness: bounded body, unknown fields refused, trailing data
-// refused.
+// strictness: bounded body, unknown fields refused, and one request per
+// body — trailing data is a malformed request.
 func decodeBody(r io.Reader, v any) error {
 	dec := json.NewDecoder(io.LimitReader(r, maxAdmitBody))
 	dec.DisallowUnknownFields()

@@ -34,8 +34,6 @@ type Metrics struct {
 	DeltaFallbacks    atomic.Int64 // delta attempts that fell back to a full rebuild
 	SelfChecks        atomic.Int64 // delta epochs compared against a from-scratch analysis
 	SelfCheckFailures atomic.Int64 // self-checks that found a difference (fresh adopted)
-	TypeEvalHits      atomic.Int64 // per-type target evaluations served from the cross-epoch memo
-	TypeEvalMisses    atomic.Int64 // per-type target evaluations computed
 
 	LedgerRefills atomic.Int64 // capacity reservations taken from the cross-shard ledger
 	LedgerReturns atomic.Int64 // surplus capacity handed back to the ledger
@@ -86,8 +84,6 @@ var counters = [...]struct {
 	{"gpsd_epoch_delta_fallbacks_total", "", "delta attempts that fell back to a full rebuild", func(m *Metrics) *atomic.Int64 { return &m.DeltaFallbacks }},
 	{"gpsd_epoch_selfchecks_total", "", "delta epochs compared against a from-scratch analysis", func(m *Metrics) *atomic.Int64 { return &m.SelfChecks }},
 	{"gpsd_epoch_selfcheck_failures_total", "", "self-checks that found a difference", func(m *Metrics) *atomic.Int64 { return &m.SelfCheckFailures }},
-	{"gpsd_type_eval_hits_total", "", "per-type target evaluations served from the cross-epoch memo", func(m *Metrics) *atomic.Int64 { return &m.TypeEvalHits }},
-	{"gpsd_type_eval_misses_total", "", "per-type target evaluations computed", func(m *Metrics) *atomic.Int64 { return &m.TypeEvalMisses }},
 	{"gpsd_rate_cache_hits_total", "", "required-rate memo hits", func(m *Metrics) *atomic.Int64 { return &m.CacheHits }},
 	{"gpsd_rate_cache_misses_total", "", "required-rate memo misses", func(m *Metrics) *atomic.Int64 { return &m.CacheMisses }},
 	{"gpsd_ledger_refills_total", "", "capacity reservations taken from the cross-shard ledger", func(m *Metrics) *atomic.Int64 { return &m.LedgerRefills }},

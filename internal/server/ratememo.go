@@ -22,12 +22,8 @@ type RateMemo struct {
 	max   int64
 }
 
-// NewRateMemo builds a memo bounded to max entries (<=0 selects the
-// default bound).
+// NewRateMemo builds a memo bounded to max entries.
 func NewRateMemo(max int) *RateMemo {
-	if max <= 0 {
-		max = rateCacheMax
-	}
 	return &RateMemo{max: int64(max)}
 }
 

@@ -164,7 +164,7 @@ func verifyRecoveredPrefix(t *testing.T, walDir string, rate float64, prefix int
 			prefix, ep.Analysis.Partition, fresh.Partition)
 	}
 	for i := range st.Sessions {
-		q := fresh.Bounds[i].G * dmax[i]
+		q := fresh.SessionG(i) * dmax[i]
 		if got, want := ep.Analysis.BestBacklogTailValue(i, q), fresh.BestBacklogTailValue(i, q); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("prefix %d: session %d backlog bound bits %#x vs offline %#x",
 				prefix, i, math.Float64bits(got), math.Float64bits(want))
@@ -198,11 +198,11 @@ func verifyRecoveredPrefix(t *testing.T, walDir string, rate float64, prefix int
 
 // TestRateCacheCapConcurrentDistinctKeys is the regression test for the
 // check-then-LoadOrStore overshoot: many goroutines missing on distinct
-// keys at once must never grow the memo past RateCacheMax, and the size
+// keys at once must never grow the memo past its bound, and the size
 // counter must agree with the map's real population afterwards.
 func TestRateCacheCapConcurrentDistinctKeys(t *testing.T) {
 	const cap = 8
-	d := newTestDaemon(t, Config{Rate: 1000, MaxEpochAge: time.Hour, RateCacheMax: cap})
+	rates, met := NewRateMemo(cap), NewMetrics()
 	const workers = 16
 	const perWorker = 12
 	start := make(chan struct{})
@@ -222,7 +222,7 @@ func TestRateCacheCapConcurrentDistinctKeys(t *testing.T) {
 				}
 				req := testTypes[0]
 				req.Target.Delay = delay
-				if _, rej, ok, err := sizeAdmit(d.rates, d.met, req); !ok {
+				if _, rej, ok, err := sizeAdmit(rates, met, req); !ok {
 					t.Errorf("worker %d sizeAdmit: %v %v", w, err, rej.Reason)
 					return
 				}
@@ -232,12 +232,12 @@ func TestRateCacheCapConcurrentDistinctKeys(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	size := d.rates.size.Load()
+	size := rates.size.Load()
 	if size > cap {
 		t.Errorf("rate cache size %d exceeds cap %d", size, cap)
 	}
 	entries := 0
-	d.rates.cache.Range(func(_, _ any) bool {
+	rates.cache.Range(func(_, _ any) bool {
 		entries++
 		return true
 	})

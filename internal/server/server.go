@@ -100,8 +100,6 @@ type Config struct {
 	// SnapshotEvery writes a WAL state snapshot after this many logged
 	// mutations, bounding replay length on the next boot (default 131072).
 	SnapshotEvery int
-	// RateCacheMax bounds the required-rate memo (default 65536).
-	RateCacheMax int
 	// SelfCheckEvery runs a from-scratch analysis against every Nth
 	// delta-built epoch and adopts it (plus a metric) on any bit
 	// difference. Default 128; negative disables.
@@ -134,9 +132,6 @@ func (c Config) withDefaults() Config {
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 131072
 	}
-	if c.RateCacheMax <= 0 {
-		c.RateCacheMax = rateCacheMax
-	}
 	if c.SelfCheckEvery == 0 {
 		c.SelfCheckEvery = 128
 	}
@@ -163,7 +158,7 @@ type shardSlot struct {
 	ledger  *ledger.Ledger
 	quantum float64
 	// rates is the required-rate memo every shard shares; nil builds a
-	// private one bounded by RateCacheMax.
+	// private one.
 	rates *RateMemo
 }
 
@@ -231,9 +226,9 @@ type opResult struct {
 // tuple; the bisection is a pure function of these five floats.
 type rateKey struct{ rho, lambda, alpha, delay, eps float64 }
 
-// rateCacheMax is the default bound on the memo so adversarial request
+// rateCacheMax bounds the required-rate memo so adversarial request
 // streams (every request a fresh tuple, as the fuzzer produces) cannot
-// grow it without limit; Config.RateCacheMax overrides it.
+// grow it without limit.
 const rateCacheMax = 1 << 16
 
 // typeEntry tracks the admitted sessions sharing one declared
@@ -379,8 +374,7 @@ type Daemon struct {
 	types       map[rateKey]*typeEntry
 	lastTypeKey rateKey
 	lastType    *typeEntry
-	evalCache   map[evalKey]float64 // cross-epoch per-type achieved-eps memo
-	deltaBuilds int                 // delta-built epochs, drives the self-check cadence
+	deltaBuilds int // delta-built epochs, drives the self-check cadence
 
 	// Snapshot offload: the writer captures the state synchronously
 	// (cheap) and a background goroutine pays for the disk work, so
@@ -417,7 +411,7 @@ func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 	}
 	rates := slot.rates
 	if rates == nil {
-		rates = NewRateMemo(cfg.RateCacheMax)
+		rates = NewRateMemo(rateCacheMax)
 	}
 	d := &Daemon{
 		cfg:        cfg,

@@ -108,7 +108,7 @@ func NewSharded(cfg Config, n int, logs []AdmissionLog, recs []*wal.Recovered, a
 		mask:   uint64(1)<<shardBits(n) - 1,
 		cfg:    cfg,
 		led:    led,
-		rates:  NewRateMemo(cfg.RateCacheMax),
+		rates:  NewRateMemo(rateCacheMax),
 		met:    NewMetrics(),
 		shards: make([]*Daemon, n),
 	}

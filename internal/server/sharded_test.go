@@ -415,7 +415,7 @@ func TestShardedOneShardMatchesDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := NewRateMemo(0)
+	memo := NewRateMemo(rateCacheMax)
 	rec := func(id uint64, req AdmitRequest) wal.SessionRecord {
 		g, _, err := memo.Required(req.Arrival, req.Target)
 		if err != nil {

@@ -286,14 +286,15 @@ func (c *Config) Run() (*Result, error) {
 	grid := stats.Levels(0, lmax, pts)
 	res := &Result{}
 	for i, s := range c.Sessions {
+		sb := analysis.PartitionBound(i)
 		bound := make([]float64, len(grid))
 		for k, d := range grid {
-			bound[k] = analysis.Bounds[i].DelayTail(d)
+			bound[k] = sb.DelayTail(d)
 		}
 		res.Sessions = append(res.Sessions, SessionReport{
 			Name:       s.Name,
 			Char:       chars[i],
-			G:          analysis.Bounds[i].G,
+			G:          sb.G,
 			DelayGrid:  grid,
 			BoundCCDF:  bound,
 			SimCCDF:    tails[i].CCDFCurve(grid),

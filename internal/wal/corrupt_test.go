@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -155,21 +156,34 @@ func TestCorruptAndTornTailTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec, err := Read(dir)
+			// ReadOps walks the same segments under the same rules.
+			raw, rawErr := ReadOps(dir, 0)
 			if tc.wantErr {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("Read error = %v, want ErrCorrupt", err)
-				}
-				var ce *CorruptError
-				if !errors.As(err, &ce) {
-					t.Fatalf("Read error %T is not *CorruptError", err)
+				for _, r := range []struct {
+					fn  string
+					err error
+				}{{"Read", err}, {"ReadOps", rawErr}} {
+					if !errors.Is(r.err, ErrCorrupt) {
+						t.Fatalf("%s error = %v, want ErrCorrupt", r.fn, r.err)
+					}
+					var ce *CorruptError
+					if !errors.As(r.err, &ce) {
+						t.Fatalf("%s error %T is not *CorruptError", r.fn, r.err)
+					}
 				}
 				return
 			}
 			if err != nil {
 				t.Fatalf("Read: %v", err)
 			}
+			if rawErr != nil {
+				t.Fatalf("ReadOps: %v", rawErr)
+			}
 			if got, want := len(rec.Ops), tc.wantOps(len(ops)); got != want {
 				t.Fatalf("recovered %d ops, want %d", got, want)
+			}
+			if !reflect.DeepEqual(raw, rec.Ops) {
+				t.Fatalf("ReadOps returned %d ops, Read recovered %d; they differ", len(raw), len(rec.Ops))
 			}
 			if tc.wantTorn && rec.TornBytes <= 0 {
 				t.Fatalf("TornBytes = %d, want > 0", rec.TornBytes)

@@ -1,11 +1,8 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -29,6 +26,24 @@ func IsSegmentName(name string) bool {
 // IsSnapshotName reports whether name is a snapshot file.
 func IsSnapshotName(name string) bool {
 	return strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap")
+}
+
+// FileSeq parses the sequence number a WAL file name carries: a
+// segment's first record, or the last record a snapshot covers. ok is
+// false for any other name. It is the one parser of the naming rule
+// segName and snapName write.
+func FileSeq(name string) (seq uint64, ok bool) {
+	var hex string
+	switch {
+	case IsSegmentName(name):
+		hex = strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg")
+	case IsSnapshotName(name):
+		hex = strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".snap")
+	default:
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(hex, 16, 64)
+	return seq, err == nil
 }
 
 // EncodeOpPayload appends the canonical frame payload encoding of o to
@@ -71,43 +86,15 @@ func ReadSnapshotState(path string) (State, error) { return readSnapshot(path) }
 // segment is tolerated; interior corruption or a history that no longer
 // reaches back to afterSeq+1 is a typed error.
 func ReadOps(dir string, afterSeq uint64) ([]Op, error) {
-	entries, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var segs []string
-	for _, e := range entries {
-		if IsSegmentName(e.Name()) {
-			segs = append(segs, e.Name())
-		}
+	var rec Recovered
+	if _, _, err := walkSegments(dir, ls.segs, &rec); err != nil {
+		return nil, err
 	}
-	sort.Strings(segs)
-	var ops []Op
-	want := uint64(0)
-	for i, name := range segs {
-		final := i == len(segs)-1
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		first, err := readSegHeader(name, data, final)
-		if err != nil {
-			if final && errors.Is(err, errTornHeader) {
-				break // empty-in-effect torn final segment
-			}
-			return nil, err
-		}
-		if want != 0 && first != want {
-			return nil, &CorruptError{File: name,
-				Reason: fmt.Sprintf("segment starts at seq %d, previous segment ended at %d", first, want-1)}
-		}
-		res, err := decodeFrames(name, data[segHeaderLen:], segHeaderLen, first, final)
-		if err != nil {
-			return nil, err
-		}
-		ops = append(ops, res.ops...)
-		want = first + uint64(len(res.ops))
-	}
+	ops := rec.Ops
 	cut := 0
 	for cut < len(ops) && ops[cut].Seq <= afterSeq {
 		cut++

@@ -260,31 +260,22 @@ func nextSeq(rec *Recovered) uint64 {
 // segment in order with sequence-continuity checks. forWrite removes
 // orphaned snapshot temporaries left by a crash mid-snapshot.
 func recoverDir(dir string, forWrite bool) (*Recovered, string, int64, error) {
-	entries, err := os.ReadDir(dir)
+	ls, err := listDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return &Recovered{}, "", 0, nil
 		}
 		return nil, "", 0, err
 	}
-	var segs, snaps []string
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			segs = append(segs, name)
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			snaps = append(snaps, name)
-		case strings.HasSuffix(name, ".tmp") && forWrite:
+	if forWrite {
+		for _, name := range ls.tmps {
 			_ = os.Remove(filepath.Join(dir, name))
 		}
 	}
-	sort.Strings(segs) // fixed-width hex: lexicographic = numeric
-	sort.Strings(snaps)
 
 	rec := &Recovered{}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		st, err := readSnapshot(filepath.Join(dir, snaps[i]))
+	for i := len(ls.snaps) - 1; i >= 0; i-- {
+		st, err := readSnapshot(filepath.Join(dir, ls.snaps[i]))
 		if err != nil {
 			rec.SkippedSnapshots++
 			continue
@@ -293,42 +284,9 @@ func recoverDir(dir string, forWrite bool) (*Recovered, string, int64, error) {
 		break
 	}
 
-	lastSeg, goodLen := "", int64(0)
-	want := uint64(0) // first record seq expected in the next segment; 0 = not yet known
-	for i, name := range segs {
-		final := i == len(segs)-1
-		path := filepath.Join(dir, name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		first, err := readSegHeader(name, data, final)
-		if err != nil {
-			if final && errors.Is(err, errTornHeader) {
-				// Crash between creating the file and syncing its header:
-				// an empty-in-effect segment; recovery discards it.
-				rec.TornBytes += int64(len(data))
-				lastSeg, goodLen = name, 0
-				break
-			}
-			return nil, "", 0, err
-		}
-		if want != 0 && first != want {
-			return nil, "", 0, &CorruptError{File: name,
-				Reason: fmt.Sprintf("segment starts at seq %d, previous segment ended at %d", first, want-1)}
-		}
-		res, err := decodeFrames(name, data[segHeaderLen:], segHeaderLen, first, final)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		if res.torn {
-			rec.TornBytes += int64(len(data)) - res.goodLen
-		}
-		rec.Ops = append(rec.Ops, res.ops...)
-		want = first + uint64(len(res.ops))
-		if final {
-			lastSeg, goodLen = name, res.goodLen
-		}
+	lastSeg, goodLen, err := walkSegments(dir, ls.segs, rec)
+	if err != nil {
+		return nil, "", 0, err
 	}
 	// Drop ops the snapshot already covers, and demand the log actually
 	// reaches back to it: a pruned prefix without a covering snapshot is
@@ -346,6 +304,84 @@ func recoverDir(dir string, forWrite bool) (*Recovered, string, int64, error) {
 		rec.Ops = rec.Ops[cut:]
 	}
 	return rec, lastSeg, goodLen, nil
+}
+
+// dirListing is one read of a WAL directory: its segment and snapshot
+// file names, each in sequence order (the fixed-width hex in both name
+// forms makes lexicographic order numeric), and the snapshot
+// temporaries a crash mid-snapshot leaves behind.
+type dirListing struct {
+	segs, snaps, tmps []string
+}
+
+// listDir lists dir. Recovery, ReadOps and prune all read a directory's
+// layout through it.
+func listDir(dir string) (dirListing, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return dirListing{}, err
+	}
+	var ls dirListing
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case IsSegmentName(name):
+			ls.segs = append(ls.segs, name)
+		case IsSnapshotName(name):
+			ls.snaps = append(ls.snaps, name)
+		case strings.HasSuffix(name, ".tmp"):
+			ls.tmps = append(ls.tmps, name)
+		}
+	}
+	sort.Strings(ls.segs)
+	sort.Strings(ls.snaps)
+	return ls, nil
+}
+
+// walkSegments decodes segs, in order, with the recovery rules: every
+// segment must continue the previous one's sequence, interior damage is
+// a *CorruptError, and only the final segment may end torn — mid-frame,
+// or before its header was synced (empty in effect, so it holds no ops).
+// The ops and the torn byte count go to rec; lastSeg is the final
+// segment's name ("" with no segments) and goodLen its length through
+// its last intact frame (0 when even its header is torn).
+func walkSegments(dir string, segs []string, rec *Recovered) (lastSeg string, goodLen int64, err error) {
+	want := uint64(0) // first record seq expected in the next segment; 0 = not yet known
+	for i, name := range segs {
+		final := i == len(segs)-1
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return "", 0, err
+		}
+		first, err := readSegHeader(name, data, final)
+		if err != nil {
+			if final && errors.Is(err, errTornHeader) {
+				// Crash between creating the file and syncing its header:
+				// an empty-in-effect segment; recovery discards it.
+				rec.TornBytes += int64(len(data))
+				lastSeg, goodLen = name, 0
+				break
+			}
+			return "", 0, err
+		}
+		if want != 0 && first != want {
+			return "", 0, &CorruptError{File: name,
+				Reason: fmt.Sprintf("segment starts at seq %d, previous segment ended at %d", first, want-1)}
+		}
+		res, err := decodeFrames(name, data[segHeaderLen:], segHeaderLen, first, final)
+		if err != nil {
+			return "", 0, err
+		}
+		if res.torn {
+			rec.TornBytes += int64(len(data)) - res.goodLen
+		}
+		rec.Ops = append(rec.Ops, res.ops...)
+		want = first + uint64(len(res.ops))
+		if final {
+			lastSeg, goodLen = name, res.goodLen
+		}
+	}
+	return lastSeg, goodLen, nil
 }
 
 // errTornHeader marks a final segment too short to hold its header.
@@ -771,36 +807,21 @@ func (l *Log) prune(seq uint64, cur string) {
 		// rotated, so the held segments are closed and shippable.
 		seq = mark
 	}
-	entries, err := os.ReadDir(l.dir)
+	ls, err := listDir(l.dir)
 	if err != nil {
 		return
 	}
-	var segs, snaps []string
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			segs = append(segs, name)
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
-			snaps = append(snaps, name)
-		}
-	}
-	sort.Strings(segs)
-	sort.Strings(snaps)
 	// A segment is removable when the next segment's first seq is ≤
 	// seq+1 (so nothing in it is newer than the snapshot) and it is not
 	// the live segment.
-	for i := 0; i+1 < len(segs); i++ {
-		var nextFirst uint64
-		if _, err := fmt.Sscanf(segs[i+1], "wal-%x.seg", &nextFirst); err != nil {
-			continue
-		}
-		if nextFirst <= seq+1 && segs[i] != cur {
-			_ = os.Remove(filepath.Join(l.dir, segs[i]))
+	for i := 0; i+1 < len(ls.segs); i++ {
+		nextFirst, ok := FileSeq(ls.segs[i+1])
+		if ok && nextFirst <= seq+1 && ls.segs[i] != cur {
+			_ = os.Remove(filepath.Join(l.dir, ls.segs[i]))
 		}
 	}
-	for i := 0; i+2 < len(snaps); i++ {
-		_ = os.Remove(filepath.Join(l.dir, snaps[i]))
+	for i := 0; i+2 < len(ls.snaps); i++ {
+		_ = os.Remove(filepath.Join(l.dir, ls.snaps[i]))
 	}
 }
 

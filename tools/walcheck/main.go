@@ -373,7 +373,7 @@ func verifyBounds(hc *http.Client, base string, s wal.SessionRecord, i int, an *
 	if err := getJSON(hc, base+"/v1/bounds/"+strconv.FormatUint(s.ID, 10), &got); err != nil {
 		return fmt.Errorf("bounds for %d: %w", s.ID, err)
 	}
-	b := an.Bounds[i]
+	b := an.PartitionBound(i)
 	t := admission.Target{Delay: s.Delay, Eps: s.Eps}
 	dly := t.Delay
 	q := b.G * dly
