@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 BENCHTIME ?= 1s
 BENCHCOUNT ?= 3
 
-.PHONY: all vet build test fuzz-smoke serve-smoke crash-smoke repl-smoke check bench benchcheck perfcheck deltacheck shardcheck clustercheck clean
+.PHONY: all vet build test fuzz-smoke serve-smoke crash-smoke repl-smoke check bench bench-ab benchcheck perfcheck deltacheck shardcheck clustercheck clean
 
 all: check
 
@@ -92,6 +92,17 @@ bench:
 		| $(GO) run ./tools/benchjson > BENCH_$(BENCHSTAMP).json
 	@echo "wrote BENCH_$(BENCHSTAMP).json"
 
+# bench-ab writes a same-host snapshot pair for `make benchcheck`: the
+# suite (or the benchmarks matching BENCH) at revision BASE and at the
+# working tree, run alternately N times, keeping each side's fastest
+# sample, base snapshot first (see scripts/bench_ab.sh).
+#
+#   make bench-ab BASE=HEAD~1 [N=5] [BENCH='EpochBatch|EpochDelta']
+N ?= 5
+BENCH ?= .
+bench-ab:
+	GO="$(GO)" BASE="$(BASE)" N="$(N)" BENCH="$(BENCH)" BENCHTIME="$(BENCHTIME)" sh scripts/bench_ab.sh
+
 # benchcheck compares the two newest committed snapshots and fails on a
 # >15% ns/op regression of the named hot-path benchmarks. Snapshot-to-
 # snapshot, so CI stays deterministic: run `make bench` locally, commit
@@ -107,16 +118,20 @@ benchcheck:
 # oracle (and keep firing at gpsd's populations), and the daemon's
 # refresh-built epochs — one refresh per batch, whatever its size —
 # must match the direct (ClassifyUnderRate / AdmissionDecision)
-# recomputations, with a refused publish visible.
+# recomputations, with a refused publish visible. Superseded epochs are
+# recycled only once no reader pins them: pinned and escaped epochs must
+# never change while the writer refills their successors' arrays, and a
+# steady publish allocates no per-session array.
 deltacheck:
-	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeFold|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeFold|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor|TestEpochReclaim' ./internal/gpsmath ./internal/server
 
 # shardcheck is the sharded-writer differential gate, uncached and
 # race-enabled: the capacity ledger's budget invariant, concurrent
 # churn against the sharded facade (every published epoch
 # self-consistent, ledger within budget), the striped WAL lifecycle,
 # striped replication, the shard key contract, and the SetRate
-# bit-identity the ledger refill path leans on.
+# bit-identity the ledger refill path leans on, and epoch reclamation
+# on every shard writer under pinned readers.
 shardcheck:
 	GOFLAGS=-count=1 $(GO) test -race ./internal/ledger
 	GOFLAGS=-count=1 $(GO) test -race -run 'TestSharded|TestStriped|TestReadStripes|TestShardOf|TestDeltaSetRate' ./internal/server ./internal/wal ./internal/replication ./internal/gpsmath

@@ -1202,8 +1202,9 @@ func benchEpochBatch(b *testing.B, reqs []server.AdmitRequest, population, ops i
 }
 
 // drainHeap runs the collector twice so a previous subbenchmark's
-// million-session heap — epoch shadow backings are finalizer-released,
-// which takes two GC cycles — is gone before the timed loop starts.
+// million-session heap — among it the arrays of epochs CurrentEpoch
+// handed out, which the writer never recycles — is gone before the
+// timed loop starts.
 // Without it, GC pacing during the measurement reflects whichever
 // big-heap benchmark happened to run earlier in the process, and the
 // in-suite numbers swing tens of percent against their standalone

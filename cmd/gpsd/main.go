@@ -254,6 +254,16 @@ func openJournal(cfg config, dir string, n int, plan *faults.CrashPlan) (*journa
 	return j, nil
 }
 
+// dropRecovered forgets the recovered history once the writers have
+// booted from it: it is read only at boot, and holding it would keep
+// the whole decoded log reachable for the life of the process. A nil
+// journal (no WAL) holds none.
+func (j *journal) dropRecovered() {
+	if j != nil {
+		j.recs = nil
+	}
+}
+
 // close stops the watermark hold and closes the audit trails; the logs
 // themselves belong to their writers, which snapshot and close them on
 // drain.
@@ -381,6 +391,7 @@ func bootPrimary(cfg config, plan *faults.CrashPlan) (*server.Sharded, *role, er
 		}
 		return nil, nil, err
 	}
+	jl.dropRecovered()
 	hv := svc.Health()
 	log.Printf("gpsd: hop at rate %g, %d shard(s), queue %d, epoch age %v, %d recovered sessions",
 		cfg.rate, hv.Shards, cfg.queue, cfg.epochAge, hv.Sessions)
@@ -463,6 +474,7 @@ func coordinatorRole(cfg config, plan *faults.CrashPlan) (*role, error) {
 		}
 		return nil, err
 	}
+	jl.dropRecovered()
 	m := coord.Metrics()
 	log.Printf("gpsd: coordinator over %d hop(s) from %s (prepare TTL %v, hop timeout %v): %d session(s) recovered (%d dropped by reconcile, %d orphaned hop sessions released)",
 		len(topo.Nodes), cfg.topology, cfg.prepareTTL, cfg.hopTimeout,

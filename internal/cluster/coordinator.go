@@ -144,6 +144,8 @@ func New(cfg Config) (*Coordinator, error) {
 		if err := c.foldRecovered(cfg.Recovered); err != nil {
 			return nil, err
 		}
+		// Read only at boot: do not keep the decoded journal reachable.
+		c.cfg.Recovered = nil
 		c.reconcile()
 	}
 	return c, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/ebb"
 	"repro/internal/numeric"
 )
 
@@ -47,6 +46,8 @@ type Analysis struct {
 	// posOf[i] is session i's position in Ordering (the inverse
 	// permutation).
 	posOf []int
+	// gen holds the arrays above; nil once its DeltaAnalyzer recycled it.
+	gen *generation
 }
 
 // AnalyzeServer validates the server, derives its feasible partition
@@ -74,30 +75,80 @@ func AnalyzeServer(srv Server, opts Options) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newAnalysis(srv, opts, part, ord, rates)
+	g := &generation{rates: rates, ord: ord}
+	g.pm.addPartition(srv, part)
+	return newAnalysis(srv, opts, srv.TotalPhi(), part, g, false)
 }
 
-// newAnalysis assembles an analysis from its partition, ordering and
-// decomposed rates — handed over freshly allocated, never mutated
-// afterwards — and refuses it unless every session's bounds are
-// constructible (checkFeasible).
-func newAnalysis(srv Server, opts Options, part Partition, ord []int, rates []float64) (*Analysis, error) {
-	posOf := make([]int, len(ord))
-	for pos, i := range ord {
-		posOf[i] = pos
-	}
+// generation holds the arrays one analysis reads besides its session
+// slice: the decomposed rates, the ordering and its inverse, the
+// partition's class map and class arena, the ordering memo's float
+// block, and both memos. AnalyzeServer allocates a fresh one per
+// analysis; a DeltaAnalyzer refills the generations its analyses
+// returned through Recycle, so a steady refresh allocates none of them.
+type generation struct {
+	// owner is the DeltaAnalyzer the generation belongs to (nil outside
+	// one), and pop the backing of the analysis's session slice, on
+	// which the generation holds one of the owner's references.
+	owner *DeltaAnalyzer
+	pop   *population
+
+	rates   []float64
+	ord     []int
+	posOf   []int
+	classOf []int
+	arena   []int // backs Partition.Classes
+	classes [][]int
+	floats  []float64 // backs the ordering memo's per-position arrays
+	pm      partitionMemo
+	om      orderingMemo
+}
+
+// newAnalysis assembles srv's analysis from its partition part, whose
+// class aggregates g.pm has folded, and the ordering and decomposed
+// rates in g, none of which is mutated afterwards; totalPhi is srv's
+// Σφ fold, shared by both memos. It refuses the analysis unless every
+// session's partition-route bounds are constructible, naming the lowest
+// session index that is not; the ordering route's constructors cannot
+// fail for a position of the ordering.
+//
+// With fused set the constructibility test runs inside the ordering
+// memo's forward pass, for the DeltaAnalyzer's populations: a few
+// declared types, each adjacent in the ordering, so the pass's
+// one-entry memo spares nearly every session the test. Over distinct
+// ratios — AnalyzeServer's general case — the ordering visits the
+// sessions at random and the test would cost that pass more than a
+// separate sweep in index order (16.8 vs 7.7 ms per assembly at 131k
+// random sessions, EXPERIMENTS.md EXT-RECLAIM), so the verified
+// constructor sweeps.
+func newAnalysis(srv Server, opts Options, totalPhi float64, part Partition, g *generation, fused bool) (*Analysis, error) {
+	n := len(srv.Sessions)
+	g.posOf = resize(g.posOf, n, 0)
+	g.floats = resize(g.floats, orderingFloats(n), 0)
+	g.pm.finish(srv, part, totalPhi)
 	a := &Analysis{
 		Server:    srv,
 		Partition: part,
-		Ordering:  ord,
-		Rates:     rates,
+		Ordering:  g.ord[:n],
+		Rates:     g.rates[:n],
 		opts:      opts,
-		pm:        srv.newPartitionMemo(part),
-		om:        srv.newOrderingMemoOwned(ord, rates),
-		posOf:     posOf,
+		pm:        &g.pm,
+		om:        &g.om,
+		posOf:     g.posOf,
+		gen:       g,
 	}
-	if err := a.checkFeasible(); err != nil {
-		return nil, err
+	var pm *partitionMemo
+	if fused {
+		pm = &g.pm
+	}
+	bad := g.om.fill(srv, a.Ordering, a.Rates, totalPhi, g.floats, g.posOf, pm)
+	for i := 0; !fused && i < bad; i++ {
+		if g.pm.slackErr(i) != nil {
+			bad = i
+		}
+	}
+	if bad < n {
+		return nil, g.pm.slackErr(bad)
 	}
 	return a, nil
 }
@@ -107,7 +158,7 @@ func newAnalysis(srv Server, opts Options, part Partition, ord []int, rates []fl
 // on demand. Constructions are not cached: they are O(1), and a shared
 // cache would race the many readers an epoch snapshot serves
 // concurrently. Never nil for an index of a returned analysis:
-// checkFeasible refused every analysis one of these constructions could
+// newAnalysis refused every analysis one of these constructions could
 // fail on.
 func (a *Analysis) PartitionBound(i int) *SessionBounds {
 	// One allocation carries the bound and an H_1 session's Theorem 10
@@ -171,28 +222,6 @@ func (a *Analysis) SessionG(i int) float64 { return a.pm.gOf(i) }
 // EffectiveRate returns session i's effective service rate within its
 // partition class (the eq. 38 geometry): ψ_i·(r - Σ_{earlier classes} ρ̃).
 func (a *Analysis) EffectiveRate(i int) float64 { return a.pm.geometry(i).gEff }
-
-// checkFeasible verifies that every session's partition-route bound is
-// constructible, so PartitionBound cannot fail on a returned analysis.
-// Theorems 11/12 need rate slack inside the session's class (gEff > ρ).
-// An H_1 session's Theorem 10 tail runs Lemma 5 at g = φ/Σφ·r instead,
-// and g folds Σφ over the session slice where gEff folds it class by
-// class, so the two can straddle ρ by an ulp: its slack is checked on
-// its own, exactly as ebb.Process.DeltaTail refuses it. The ordering
-// route's constructors cannot fail for a position of the ordering.
-func (a *Analysis) checkFeasible() error {
-	for i := range a.Server.Sessions {
-		rho := a.Server.Sessions[i].Arrival.Rho
-		geo := a.pm.geometry(i)
-		if !(geo.epsBudget > 0) {
-			return fmt.Errorf("gpsmath: session %d has no rate slack in its class (gEff = %v, rho = %v)", i, geo.gEff, rho)
-		}
-		if geo.class == 0 && a.pm.gOf(i)-rho <= 0 {
-			return fmt.Errorf("gpsmath: session %d: Theorem 10 at g = %v: %w", i, a.pm.gOf(i), ebb.ErrRateTooSmall)
-		}
-	}
-	return nil
-}
 
 // BestBacklogTailValue returns, for session i, the smallest bound on
 // Pr{Q_i >= q} across the partition and ordering routes.

@@ -135,9 +135,12 @@ func TestCheckFeasibleCoversTheorem10(t *testing.T) {
 	if _, err := pm.theorem10(2); !errors.Is(err, ebb.ErrRateTooSmall) {
 		t.Fatalf("setup: Theorem 10 for session 2 = %v, want ErrRateTooSmall", err)
 	}
-	ord := []int{0, 1, 2}
-	_, err := newAnalysis(srv, Options{Independent: true}, part, ord, []float64{tiny, tiny, 1 - math.Ldexp(1, -52)})
-	if !errors.Is(err, ebb.ErrRateTooSmall) {
-		t.Fatalf("newAnalysis = %v, want a refusal wrapping ErrRateTooSmall", err)
+	g := &generation{ord: []int{0, 1, 2}, rates: []float64{tiny, tiny, 1 - math.Ldexp(1, -52)}}
+	g.pm.addPartition(srv, part)
+	for _, fused := range []bool{false, true} {
+		_, err := newAnalysis(srv, Options{Independent: true}, srv.TotalPhi(), part, g, fused)
+		if !errors.Is(err, ebb.ErrRateTooSmall) {
+			t.Fatalf("newAnalysis (fused %v) = %v, want a refusal wrapping ErrRateTooSmall", fused, err)
+		}
 	}
 }

@@ -35,13 +35,27 @@ import (
 //     implementation to drift.
 //
 // What stays O(N): the decomposed rates r_i = ρ_i + slack/N change for
-// every session on every refresh (slack and N both move), so the rate
-// and ratio fills, the memo prefix/suffix passes, and the feasibility
-// sweep remain lean linear float passes (~a few ms at 131k sessions),
-// paid once per batch however many ops it holds. What the delta path
-// eliminates is everything superlinear or heavyweight: the O(N log N)
-// sorts (the ordering repaired in O(N + moves), the partition scanned
-// over the maintained ρ/φ ratios) and the eq. (5) verification pass.
+// every session on every refresh (slack and N both move), so a refresh
+// makes lean linear float passes (~a few ms at 131k sessions), paid
+// once per batch however many ops it holds. They are fused: one
+// index-order fold of Σρ and Σφ (the folds TotalRho and TotalPhi take,
+// computed once and shared by the slack, the partition and both memos),
+// one pass that fills the rates, the ordering ratios and the first
+// partition round, and the ordering memo's two passes, which also fill
+// the inverse permutation and run the feasibility test. What the delta
+// path eliminates is everything superlinear or heavyweight: the
+// O(N log N) sorts (the ordering repaired in O(N + moves), the
+// partition scanned over the maintained ρ/φ ratios) and the eq. (5)
+// verification pass.
+//
+// Nor does a steady refresh allocate. Its arrays live in generations
+// the owner hands back through Recycle once no reader can see them, and
+// the staged population lives in refcounted backings: a batch's first
+// release into the last refreshed population copies it into a recycled
+// backing, and admit-only batches append-share one backing across
+// several analyses, which returns to the free list only when the last
+// of them is recycled. An analysis that is never recycled keeps its
+// arrays and its backing until the collector frees them.
 
 // DeltaStats counts how the analyzer's refreshes fixed the ordering.
 type DeltaStats struct {
@@ -51,41 +65,64 @@ type DeltaStats struct {
 	OrderRepairs, OrderSorts uint64
 }
 
+// population is one backing of the staged session slice and its ρ/φ
+// ratios (equal capacities). refs counts the analyzer's staging and
+// rollback references plus one per unrecycled generation reading it; at
+// zero the backing goes onto the analyzer's free list.
+type population struct {
+	sess   []Session
+	pRatio []float64
+	refs   int
+}
+
+// freeMax bounds each of the analyzer's free lists. A publisher keeps
+// its current analysis and the few a reader still pins in flight, so a
+// handful of spare generations covers steady churn.
+const freeMax = 4
+
 // DeltaAnalyzer maintains an Analysis across session admits, releases
 // and rate moves. Admit, Release and SetRate only stage a change, in
 // O(1) (a batch's first release into the refreshed population copies it
 // once); Refresh turns everything staged since the last refresh into
-// one analysis. It
-// is not goroutine-safe; the intended owner is a single writer (the
-// gpsd shard writer) that publishes the refreshed analyses to readers
-// via epoch snapshots. Returned analyses are immutable and remain valid
-// after further operations: admits extend the session slice
-// append-share style (old epochs see the old length), and releases
-// into it copy it fresh.
+// one analysis. It is not goroutine-safe; the intended owner is a
+// single writer (the gpsd shard writer) that publishes the refreshed
+// analyses to readers via epoch snapshots. Returned analyses are
+// immutable and remain valid after further operations — admits extend
+// the session slice append-share style (old epochs see the old length),
+// and releases into it copy it fresh — until the owner hands one back
+// through Recycle.
 type DeltaAnalyzer struct {
 	opts Options
 	// rate, sess and pRatio are the staged population the next Refresh
-	// analyzes. pRatio[i] = ρ_i/φ_i is maintained alongside sess (same
-	// append/swap-remove moves) and feeds the partition rounds without a
-	// per-refresh division pass.
+	// analyzes; sess and pRatio alias pop's arrays. pRatio[i] = ρ_i/φ_i
+	// is maintained alongside sess (same append/swap-remove moves) and
+	// feeds the partition rounds without a per-refresh division pass.
 	rate   float64
 	sess   []Session
 	pRatio []float64
-	// origin carries the batch's swap-removes into the ordering seed:
-	// origin[i] is the index session i had at the last refresh; one at
-	// or past the last refreshed population marks a session admitted
-	// since. Built at the batch's first release.
+	pop    *population
+	owned  bool // no analysis reads pop: this batch may write any slot
+	// origin carries the batch's swap-removes into the ordering seed
+	// while carry is set: origin[i] is the index session i had at the
+	// last refresh; one at or past the last refreshed population marks a
+	// session admitted since. Started at the batch's first release.
 	origin []int
-	owned  bool // sess and pRatio are this batch's private copy
-	// an analyzes last, the population of the last successful refresh;
-	// a refused Refresh restores it.
+	carry  bool
+	// an analyzes last, the population of the last successful refresh,
+	// whose backing is lastPop; a refused Refresh restores it.
 	an        *Analysis
 	last      Server
 	lastRatio []float64
+	lastPop   *population
 	stats     DeltaStats
-	// ratioScratch backs the r_i/φ_i ordering ratios during a refresh;
-	// nothing epoch-visible retains it, so it is reused across batches.
-	ratioScratch []float64
+	// Writer-private scratch, reused across refreshes: nothing
+	// epoch-visible retains it. ratio backs the r_i/φ_i ordering ratios;
+	// now and fresh carry the seed through a batch's swap-removes.
+	ratio      []float64
+	now, fresh []int
+	// Free lists of recycled generations and population backings.
+	freeGens []*generation
+	freePops []*population
 }
 
 // NewDeltaAnalyzer seeds an analyzer with the server's sessions and
@@ -100,15 +137,16 @@ func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
 		return nil, fmt.Errorf("%w: server rate = %v, want positive finite", ErrInvalidInput, srv.Rate)
 	}
 	n := len(srv.Sessions)
-	d := &DeltaAnalyzer{
-		opts:   opts,
-		rate:   srv.Rate,
-		sess:   append(make([]Session, 0, n), srv.Sessions...),
-		pRatio: make([]float64, n),
-	}
+	d := &DeltaAnalyzer{opts: opts, rate: srv.Rate}
+	d.pop = d.takePop(n, n)
+	d.sess = append(d.pop.sess[:0], srv.Sessions...)
+	d.pRatio = d.pop.pRatio[:n]
 	for i := range d.sess {
 		d.pRatio[i] = d.sess[i].Arrival.Rho / d.sess[i].Phi
 	}
+	d.lastPop = d.pop
+	d.pop.refs++
+	d.last, d.lastRatio = Server{Rate: srv.Rate, Sessions: d.sess[:0]}, d.pRatio[:0]
 	// With no last ordering to seed it, the refresh runs AnalyzeServer.
 	if _, err := d.Refresh(); err != nil {
 		return nil, err
@@ -142,11 +180,18 @@ func (d *DeltaAnalyzer) Admit(s Session) error {
 	if err := s.Arrival.Validate(); err != nil {
 		return fmt.Errorf("gpsmath: session %s: %w", s.Name, err)
 	}
+	if n := len(d.sess); n == cap(d.sess) {
+		// Re-seat a full backing explicitly: letting append reallocate
+		// would move the population off its refcounted backing. Asking
+		// for an eighth more room keeps these copies amortized O(1) per
+		// admit, as append's growth would.
+		d.moveTo(n+n/8+1, n+n/4+64)
+	}
 	// Append-share: published analyses hold shorter slice headers, so
 	// extending the backing arrays past their length never perturbs them.
 	d.sess = append(d.sess, s)
 	d.pRatio = append(d.pRatio, s.Arrival.Rho/s.Phi)
-	if d.origin != nil {
+	if d.carry {
 		d.origin = append(d.origin, len(d.last.Sessions))
 	}
 	return nil
@@ -168,25 +213,113 @@ func (d *DeltaAnalyzer) Release(pos int) error {
 		// analysis reads alone, the vacated one included: no older
 		// analysis on this backing is longer, since a release below a
 		// refreshed length always copies first.
-		d.sess = append(make([]Session, 0, n+64), d.sess...)
-		d.pRatio = append(make([]float64, 0, n+64), d.pRatio...)
-		d.owned = true
+		d.moveTo(n+64, n+n/8+64)
 	}
-	if d.origin == nil && d.an != nil {
+	if !d.carry && d.an != nil {
 		// The batch's first release starts the carry as the identity over
-		// the last refreshed population.
-		d.origin = make([]int, n, n+64)
+		// the population so far.
+		d.origin = resize(d.origin, n, n/8+64)
 		for i := range d.origin {
 			d.origin[i] = i
 		}
+		d.carry = true
 	}
 	last := n - 1
 	d.sess[pos], d.pRatio[pos] = d.sess[last], d.pRatio[last]
 	d.sess, d.pRatio = d.sess[:last], d.pRatio[:last]
-	if d.origin != nil {
+	if d.carry {
 		d.origin[pos], d.origin = d.origin[last], d.origin[:last]
 	}
 	return nil
+}
+
+// moveTo copies the staged population onto a backing no analysis
+// reads — recycled when one holds at least need slots, else allocated
+// with capacity alloc — and moves the staging reference there.
+func (d *DeltaAnalyzer) moveTo(need, alloc int) {
+	p := d.takePop(need, alloc)
+	n := len(d.sess)
+	copy(p.sess, d.sess)
+	copy(p.pRatio, d.pRatio)
+	d.sess, d.pRatio = p.sess[:n], p.pRatio[:n]
+	d.dropPop(d.pop)
+	d.pop = p
+	d.owned = true
+}
+
+// takePop returns a backing with at least need slots and one reference
+// taken, from the free list when one there is large enough. A free list
+// none of whose backings fits belongs to a smaller population: it is
+// dropped for the collector.
+func (d *DeltaAnalyzer) takePop(need, alloc int) *population {
+	for k, p := range d.freePops {
+		if cap(p.sess) >= need {
+			last := len(d.freePops) - 1
+			d.freePops[k], d.freePops[last] = d.freePops[last], nil
+			d.freePops = d.freePops[:last]
+			p.sess, p.pRatio = p.sess[:cap(p.sess)], p.pRatio[:cap(p.pRatio)]
+			p.refs = 1
+			return p
+		}
+	}
+	clear(d.freePops)
+	d.freePops = d.freePops[:0]
+	alloc = max(alloc, need)
+	return &population{sess: make([]Session, alloc), pRatio: make([]float64, alloc), refs: 1}
+}
+
+// dropPop releases one reference on p, freeing it at the last.
+func (d *DeltaAnalyzer) dropPop(p *population) {
+	if p.refs--; p.refs == 0 && len(d.freePops) < freeMax {
+		d.freePops = append(d.freePops, p)
+	}
+}
+
+// takeGen returns a generation whose arrays hold n sessions, from the
+// free list when it has one.
+func (d *DeltaAnalyzer) takeGen(n int) *generation {
+	var g *generation
+	if k := len(d.freeGens) - 1; k >= 0 {
+		g, d.freeGens[k] = d.freeGens[k], nil
+		d.freeGens = d.freeGens[:k]
+	} else {
+		g = &generation{owner: d}
+	}
+	spare := n/8 + 64
+	g.rates = resize(g.rates, n, spare)
+	g.ord = resize(g.ord, n, spare)
+	g.posOf = resize(g.posOf, n, spare)
+	g.classOf = resize(g.classOf, n, spare)
+	g.arena = resize(g.arena, n, spare)
+	g.floats = resize(g.floats, orderingFloats(n), 3*spare)
+	return g
+}
+
+// putGen returns an unpublished or recycled generation to the free
+// list, dropping what it still references.
+func (d *DeltaAnalyzer) putGen(g *generation) {
+	g.pm.s, g.pm.p, g.om.s, g.om.ord = Server{}, Partition{}, Server{}, nil
+	clear(g.pm.classSumSH)
+	clear(g.classes)
+	if len(d.freeGens) < freeMax {
+		d.freeGens = append(d.freeGens, g)
+	}
+}
+
+// Recycle hands back an analysis this analyzer produced once nothing
+// reads it anymore: its arrays are refilled by a later refresh, and its
+// session backing is reused once no other analysis reads it either.
+// Analyses from elsewhere, the current analysis and one already
+// recycled are ignored. The analysis must not be read afterwards.
+func (d *DeltaAnalyzer) Recycle(an *Analysis) {
+	if an == nil || an == d.an || an.gen == nil || an.gen.owner != d {
+		return
+	}
+	g := an.gen
+	an.gen = nil
+	d.dropPop(g.pop)
+	g.pop = nil
+	d.putGen(g)
 }
 
 // SetRate stages a new service rate. Every rate-dependent structure —
@@ -213,40 +346,65 @@ func (d *DeltaAnalyzer) SetRate(rate float64) error {
 // refreshed state, discarding the batch.
 func (d *DeltaAnalyzer) Refresh() (*Analysis, error) {
 	var err error
-	if len(d.sess) == 0 {
+	switch {
+	case len(d.sess) == 0:
 		d.an = nil
-	} else {
-		err = d.refresh(d.seed())
+	case d.an == nil:
+		err = d.analyze()
+	default:
+		err = d.refresh()
 	}
-	d.origin, d.owned = nil, false
+	d.carry, d.owned = false, false
 	if err != nil {
 		d.rate, d.sess, d.pRatio = d.last.Rate, d.last.Sessions, d.lastRatio
+		d.lastPop.refs++
+		d.dropPop(d.pop)
+		d.pop = d.lastPop
 		return nil, err
 	}
+	d.pop.refs++
+	d.dropPop(d.lastPop)
+	d.lastPop = d.pop
 	d.last, d.lastRatio = Server{Rate: d.rate, Sessions: d.sess}, d.pRatio
 	return d.an, nil
 }
 
-// seed is the ordering repair's starting permutation: the last
-// refreshed ordering carried through the batch's swap-removes, with the
-// sessions admitted since appended at the end. nil — the verified
-// constructor — when there is no last ordering.
-func (d *DeltaAnalyzer) seed() []int {
-	if d.an == nil {
-		return nil
+// adopt makes an, analyzed over the staged population in generation g,
+// the current analysis.
+func (d *DeltaAnalyzer) adopt(an *Analysis, g *generation) {
+	g.owner, g.pop = d, d.pop
+	d.pop.refs++
+	d.an = an
+}
+
+// analyze runs the verified constructor over the staged population,
+// for want of a last ordering to repair.
+func (d *DeltaAnalyzer) analyze() error {
+	an, err := AnalyzeServer(Server{Rate: d.rate, Sessions: d.sess}, d.opts)
+	if err != nil {
+		return err
 	}
-	seed := make([]int, 0, len(d.sess))
-	if d.origin == nil {
-		seed = append(seed, d.an.Ordering...)
-		for i := len(d.an.Ordering); i < len(d.sess); i++ {
-			seed = append(seed, i)
+	d.adopt(an, an.gen)
+	return nil
+}
+
+// seed writes the ordering repair's starting permutation into ord: the
+// last refreshed ordering carried through the batch's swap-removes, with
+// the sessions admitted since appended at the end.
+func (d *DeltaAnalyzer) seed(ord []int) {
+	lastOrd := d.an.Ordering
+	if !d.carry {
+		copy(ord, lastOrd)
+		for i := len(lastOrd); i < len(ord); i++ {
+			ord[i] = i
 		}
-		return seed
+		return
 	}
 	// now[j] is one past the index last-refresh session j holds today,
 	// or 0 once released.
-	now := make([]int, len(d.an.Ordering))
-	var fresh []int
+	now := resize(d.now, len(lastOrd), len(lastOrd)/8+64)
+	clear(now)
+	fresh := d.fresh[:0]
 	for i, j := range d.origin {
 		if j >= len(now) {
 			fresh = append(fresh, i)
@@ -254,112 +412,117 @@ func (d *DeltaAnalyzer) seed() []int {
 			now[j] = i + 1
 		}
 	}
-	for _, j := range d.an.Ordering {
+	k := 0
+	for _, j := range lastOrd {
 		if now[j] > 0 {
-			seed = append(seed, now[j]-1)
+			ord[k] = now[j] - 1
+			k++
 		}
 	}
-	return append(seed, fresh...)
+	copy(ord[k:], fresh)
+	d.now, d.fresh = now, fresh
 }
 
-// refresh rebuilds the analysis for the current session slice. A nil
-// seed runs the verified constructor, AnalyzeServer; a non-nil seed is
-// a near-sorted candidate permutation covering [0, len(sess)) that is
-// repaired in place.
+// refresh repairs the last analysis into one of the staged population,
+// filling a recycled generation: the seed becomes the ordering in place.
 //
 // The repair path skips the eq. (5) verification: the greedy min r/φ
-// order satisfies eq. (5) whenever Σr_i <= r (paper §3), and
-// DecomposedRates guarantees exactly that by construction — it errors
-// with ErrOverloaded before producing rates otherwise. The daemon's
-// periodic self-check re-runs the verified constructor against the same
+// order satisfies eq. (5) whenever Σr_i <= r (paper §3), and the slack
+// split guarantees exactly that by construction — it refuses with
+// ErrOverloaded before producing rates otherwise. The daemon's periodic
+// self-check re-runs the verified constructor against the same
 // population, so a violation could not persist silently even if the
 // rates were somehow inconsistent.
-func (d *DeltaAnalyzer) refresh(seed []int) error {
+//
+// The partition is the reference round algorithm — scan all unplaced
+// sessions in index order against the round threshold — whose
+// arithmetic FeasiblePartition is pinned to bit for bit, over the
+// maintained ρ/φ ratios. O(L·N) scans, but L is the class count (small)
+// and a round is a single float compare per session. Each round's
+// members arrive in index order, which is class order, so the round
+// folds the class aggregates of the partition memo as it places them,
+// in the order newPartitionMemo folds them.
+func (d *DeltaAnalyzer) refresh() error {
+	n := len(d.sess)
 	srv := Server{Rate: d.rate, Sessions: d.sess}
-	if seed == nil {
-		an, err := AnalyzeServer(srv, d.opts)
-		if err != nil {
-			return err
-		}
-		d.an = an
-		return nil
+	// One index-order fold: Σρ and Σφ, bit for bit TotalRho and TotalPhi.
+	totRho, totPhi := 0.0, 0.0
+	for i := range d.sess {
+		totRho += d.sess[i].Arrival.Rho
+		totPhi += d.sess[i].Phi
 	}
-	rates, err := srv.DecomposedRates(d.opts.Split, d.opts.SlackFraction)
+	sp, err := newSlackSplit(d.opts.Split, d.opts.SlackFraction, d.rate, n, totRho, totPhi)
 	if err != nil {
 		return err
 	}
-	n := len(seed)
-	if cap(d.ratioScratch) < n {
-		d.ratioScratch = make([]float64, n, n+n/2+8)
+	g := d.takeGen(n)
+	d.seed(g.ord)
+	d.ratio = resize(d.ratio, n, n/8+64)
+	rates, ratio, classOf := g.rates, d.ratio, g.classOf
+	arena := g.arena[:0]
+	pm := &g.pm
+	pm.reset(0)
+	// One pass fills the rates, the ordering ratios (the slack moved, so
+	// every ratio is recomputed, with FeasibleOrdering's expression) and
+	// the first partition round.
+	placedRho, remPhi := 0.0, totPhi
+	threshold := (d.rate - placedRho) / remPhi
+	pm.openClass()
+	for i := range d.sess {
+		s := &d.sess[i]
+		r := sp.rate(s)
+		rates[i] = r
+		ratio[i] = r / s.Phi
+		if d.pRatio[i] < threshold {
+			classOf[i] = 0
+			arena = append(arena, i)
+			placedRho += s.Arrival.Rho
+			remPhi -= s.Phi
+			pm.addMember(0, s)
+		} else {
+			classOf[i] = -1
+		}
 	}
-	// Same expression as FeasibleOrdering's ratio fill: the slack moved,
-	// so every ratio is recomputed (bit-identically).
-	ratio := d.ratioScratch[:n]
-	for i := range ratio {
-		ratio[i] = rates[i] / d.sess[i].Phi
-	}
-	if repairOrder(seed, ratio) {
+	if repairOrder(g.ord, ratio) {
 		d.stats.OrderRepairs++
 	} else {
-		sort.Sort(ratioOrder{idx: seed, ratio: ratio})
+		sort.Sort(ratioOrder{idx: g.ord, ratio: ratio})
 		d.stats.OrderSorts++
 	}
-	part, err := d.partition(srv)
-	if err != nil {
-		return err
-	}
-	an, err := newAnalysis(srv, d.opts, part, seed, rates)
-	if err != nil {
-		return err
-	}
-	d.an = an
-	return nil
-}
-
-// partition runs the feasible-partition recursion (eqs. 37–39) over the
-// maintained ρ/φ ratios. It is the reference round algorithm — scan all
-// unplaced sessions in index order against the round threshold — whose
-// arithmetic FeasiblePartition is pinned to bit for bit, with the
-// per-session ratio divisions already done. O(L·N) scans, but L is the
-// class count (small) and a round is a single float compare per
-// session, so this is one of the lean linear passes.
-func (d *DeltaAnalyzer) partition(srv Server) (Partition, error) {
-	n := len(srv.Sessions)
-	p := Partition{ClassOf: make([]int, n)}
-	for i := range p.ClassOf {
-		p.ClassOf[i] = -1
-	}
-	placedRho := 0.0
-	remPhi := srv.TotalPhi()
-	remaining := n
-	// The arena backs the epoch-visible class slices: allocated fresh
-	// per refresh (old epochs keep their own).
-	arena := make([]int, 0, n)
-	for remaining > 0 {
-		threshold := (srv.Rate - placedRho) / remPhi
-		start := len(arena)
+	part := Partition{ClassOf: classOf, Classes: g.classes[:0]}
+	for start := 0; ; {
+		if len(arena) == start {
+			d.putGen(g)
+			return fmt.Errorf("gpsmath: feasible partition stalled with %d sessions left (sum rho >= rate?)", n-start)
+		}
+		part.Classes = append(part.Classes, arena[start:len(arena):len(arena)])
+		start = len(arena)
+		if start == n {
+			break
+		}
+		k := len(part.Classes)
+		threshold := (d.rate - placedRho) / remPhi
+		pm.openClass()
 		for i, r := range d.pRatio {
-			if p.ClassOf[i] >= 0 {
+			if classOf[i] >= 0 || !(r < threshold) {
 				continue
 			}
-			if r < threshold {
-				arena = append(arena, i)
-			}
+			s := &d.sess[i]
+			classOf[i] = k
+			arena = append(arena, i)
+			placedRho += s.Arrival.Rho
+			remPhi -= s.Phi
+			pm.addMember(k, s)
 		}
-		class := arena[start:len(arena):len(arena)]
-		if len(class) == 0 {
-			return Partition{}, fmt.Errorf("gpsmath: feasible partition stalled with %d sessions left (sum rho >= rate?)", remaining)
-		}
-		k := len(p.Classes)
-		for _, i := range class {
-			p.ClassOf[i] = k
-			placedRho += srv.Sessions[i].Arrival.Rho
-			remPhi -= srv.Sessions[i].Phi
-		}
-		p.Classes = append(p.Classes, class)
-		remaining -= len(class)
 	}
-	return p, nil
+	g.arena, g.classes = arena, part.Classes
+	an, err := newAnalysis(srv, d.opts, totPhi, part, g, true)
+	if err != nil {
+		d.putGen(g)
+		return err
+	}
+	d.adopt(an, g)
+	return nil
 }
 
 // repairOrder insertion-sorts ord by (ratio, index) in place, assuming

@@ -83,6 +83,44 @@ func compareStructure(t *testing.T, tag string, got, want *Analysis) {
 			}
 		}
 	}
+	// The memos every bound is built from, bit for bit: a fold that
+	// drifts by an ulp or a stale slot in a recycled buffer shows here
+	// even where no sampled bound would move.
+	for _, f := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"totalPhi (ordering memo)", []float64{got.om.totalPhi}, []float64{want.om.totalPhi}},
+		{"totalPhi (partition memo)", []float64{got.pm.totalPhi}, []float64{want.pm.totalPhi}},
+		{"tailPhi", got.om.tailPhi, want.om.tailPhi},
+		{"preMinA", got.om.preMinA, want.om.preMinA},
+		{"preInvA", got.om.preInvA, want.om.preInvA},
+		{"classRho", got.pm.classRho, want.pm.classRho},
+		{"classPhi", got.pm.classPhi, want.pm.classPhi},
+		{"classMinA", got.pm.classMinA, want.pm.classMinA},
+		{"earlierRho", got.pm.earlierRho, want.pm.earlierRho},
+		{"laterPhi", got.pm.laterPhi, want.pm.laterPhi},
+		{"preMinClassA", got.pm.preMinClassA, want.pm.preMinClassA},
+		{"preInvClassA", got.pm.preInvClassA, want.pm.preInvClassA},
+	} {
+		if len(f.got) != len(f.want) {
+			t.Fatalf("%s: %s has %d entries, fresh %d", tag, f.name, len(f.got), len(f.want))
+		}
+		for k := range f.got {
+			if !sameBits(f.got[k], f.want[k]) {
+				t.Fatalf("%s: %s[%d] = %v (%x), fresh %v (%x)", tag, f.name, k,
+					f.got[k], math.Float64bits(f.got[k]), f.want[k], math.Float64bits(f.want[k]))
+			}
+		}
+	}
+	if len(got.posOf) != len(want.posOf) {
+		t.Fatalf("%s: posOf has %d entries, fresh %d", tag, len(got.posOf), len(want.posOf))
+	}
+	for i := range got.posOf {
+		if got.posOf[i] != want.posOf[i] {
+			t.Fatalf("%s: posOf[%d] = %d, fresh %d", tag, i, got.posOf[i], want.posOf[i])
+		}
+	}
 }
 
 // compareBounds pins session i's delta-built bounds to the fresh
@@ -415,6 +453,160 @@ func TestDeltaBatchesMatchFresh(t *testing.T) {
 					t.Fatalf("round %d: refused batch moved the analyzer (%d sessions, rate %v)", r, d.Len(), d.Server().Rate)
 				}
 				mirror, rate = base, prevRate
+			}
+		})
+	}
+}
+
+// analysisSum folds every array an analysis reads — the session slice,
+// rates, ordering and its inverse, the partition, and both memos — into
+// one checksum, so a later write into any slot it covers shows.
+func analysisSum(an *Analysis) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) { h = (h ^ v) * 1099511628211 }
+	for _, s := range an.Server.Sessions {
+		mix(math.Float64bits(s.Phi))
+		mix(math.Float64bits(s.Arrival.Rho))
+		mix(math.Float64bits(s.Arrival.Lambda))
+		mix(math.Float64bits(s.Arrival.Alpha))
+		mix(uint64(len(s.Name)))
+	}
+	for _, fs := range [][]float64{an.Rates, an.om.tailPhi, an.om.preMinA, an.om.preInvA,
+		an.pm.classRho, an.pm.classPhi, an.pm.classMinA, an.pm.earlierRho, an.pm.laterPhi,
+		an.pm.preMinClassA, an.pm.preInvClassA} {
+		for _, f := range fs {
+			mix(math.Float64bits(f))
+		}
+	}
+	for _, is := range [][]int{an.Ordering, an.posOf, an.Partition.ClassOf} {
+		for _, i := range is {
+			mix(uint64(i))
+		}
+	}
+	for _, class := range an.Partition.Classes {
+		mix(uint64(len(class)))
+		for _, i := range class {
+			mix(uint64(i))
+		}
+	}
+	return h
+}
+
+// TestDeltaAnalyzerRecycle drives the analyzer the way gpsd's publisher
+// does: every analysis that leaves a small window of held ones is
+// handed back through Recycle, so refreshes fill recycled generations
+// and copy into recycled population backings. Batches alternate
+// release-heavy, admit-only (append-sharing the backing the previous
+// batch's release copied into) and mixed shapes. Every refresh must
+// match a fresh AnalyzeServer bit for bit, memos included; every held
+// analysis — and one never recycled at all — must checksum at release
+// exactly as it did when produced; and the analyzer must refuse to
+// recycle its current analysis or one it did not produce.
+func TestDeltaAnalyzerRecycle(t *testing.T) {
+	opts := Options{Independent: true, Xi: XiOptimal}
+	for _, pc := range []struct {
+		name    string
+		palette []benchType
+		n       int
+	}{
+		{"palette4", palette4, 400},
+		{"palette64", palette64, 400},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			srv, _ := gpsdServer(t, pc.palette, 3*pc.n, 0.5, uint64(pc.n))
+			pool := srv.Sessions[pc.n:]
+			srv.Sessions = srv.Sessions[:pc.n:pc.n]
+			d, err := NewDeltaAnalyzer(srv, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign, err := AnalyzeServer(srv, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreignSum := analysisSum(foreign)
+			mirror := append([]Session(nil), srv.Sessions...)
+			rng := source.NewRNG(uint64(pc.n) + 7)
+			type held struct {
+				an  *Analysis
+				sum uint64
+			}
+			kept := held{d.Analysis(), analysisSum(d.Analysis())}
+			var window []held
+			rounds := 120
+			if raceEnabled || testing.Short() {
+				rounds = 40
+			}
+			for r := 0; r < rounds; r++ {
+				ops := 1 + rng.Intn(12)
+				for k := 0; k < ops; k++ {
+					n := len(mirror)
+					var admit bool
+					switch r % 3 {
+					case 0: // release-heavy
+						admit = n < pc.n/2 || rng.Float64() < 0.2
+					case 1: // admit-only
+						admit = true
+					default:
+						admit = n < pc.n/2 || (n < 3*pc.n/2 && rng.Float64() < 0.5)
+					}
+					if admit {
+						s := pool[rng.Intn(len(pool))]
+						if err := d.Admit(s); err != nil {
+							t.Fatal(err)
+						}
+						mirror = append(mirror, s)
+						continue
+					}
+					pos := rng.Intn(n)
+					if err := d.Release(pos); err != nil {
+						t.Fatal(err)
+					}
+					mirror[pos] = mirror[n-1]
+					mirror = mirror[:n-1]
+				}
+				an, err := d.Refresh()
+				if err != nil {
+					t.Fatalf("round %d: refresh: %v", r, err)
+				}
+				tag := fmt.Sprintf("round %d", r)
+				fresh, err := AnalyzeServer(Server{Rate: srv.Rate, Sessions: mirror}, opts)
+				if err != nil {
+					t.Fatalf("%s: fresh AnalyzeServer: %v", tag, err)
+				}
+				compareStructure(t, tag, an, fresh)
+				compareBounds(t, tag, an, fresh, rng.Intn(len(mirror)))
+				d.Recycle(an)
+				d.Recycle(foreign)
+				if an.gen == nil || foreign.gen == nil {
+					t.Fatalf("%s: recycled the current analysis or a foreign one", tag)
+				}
+				window = append(window, held{an, analysisSum(an)})
+				// Hold each analysis for a random span of refreshes, as a
+				// reader pins an epoch across publishes.
+				for len(window) > 0 && (len(window) > 4 || rng.Float64() < 0.4) {
+					k := rng.Intn(len(window))
+					h := window[k]
+					if h.an == d.Analysis() {
+						break
+					}
+					if got := analysisSum(h.an); got != h.sum {
+						t.Fatalf("%s: a held analysis changed before it was recycled", tag)
+					}
+					d.Recycle(h.an)
+					window = append(window[:k], window[k+1:]...)
+				}
+			}
+			if analysisSum(kept.an) != kept.sum {
+				t.Fatal("the never-recycled first analysis changed")
+			}
+			if analysisSum(foreign) != foreignSum {
+				t.Fatal("a foreign analysis changed")
+			}
+			for _, h := range window {
+				if analysisSum(h.an) != h.sum {
+					t.Fatal("a held analysis changed")
+				}
 			}
 		})
 	}

@@ -102,45 +102,88 @@ type orderingMemo struct {
 	preInvA []float64
 }
 
+// newOrderingMemo builds the memo behind the public Theorem 7/8
+// constructors over copies of ord and rates, because caller-owned
+// slices may be reused.
 func (s Server) newOrderingMemo(ord []int, rates []float64) *orderingMemo {
-	return s.newOrderingMemoOwned(append([]int(nil), ord...), append([]float64(nil), rates...))
+	m := new(orderingMemo)
+	n := len(ord)
+	m.fill(s, append([]int(nil), ord...), append([]float64(nil), rates...), s.TotalPhi(),
+		make([]float64, orderingFloats(n)), nil, nil)
+	return m
 }
 
-// newOrderingMemoOwned builds the memo without defensively copying ord
-// and rates: AnalyzeServer and the DeltaAnalyzer hand over freshly
-// allocated slices they never mutate afterwards, and re-copying them
-// would put two O(N) allocations back on the per-op delta path. The
-// public Theorem 7/8 constructors go through newOrderingMemo, which
-// copies, because caller-owned slices may be reused.
-func (s Server) newOrderingMemoOwned(ord []int, rates []float64) *orderingMemo {
+// orderingFloats is the length of the float block behind an ordering
+// memo over n positions: tailPhi, preMinA and preInvA.
+func orderingFloats(n int) int { return (n + 1) + n + (n + 1) }
+
+// fill (re)builds the memo over ord and rates, which it keeps without
+// copying, in two passes over the ordering with every per-position
+// array carved from floats (orderingFloats(len(ord)) long; stale
+// contents are overwritten). totalPhi is the population's Σφ fold.
+//
+// The passes also do the analysis's own per-session work, so an
+// analysis walks its population twice here rather than four times: the
+// backward tailPhi pass fills posOf (the inverse permutation) when it
+// is non-nil, and the forward preMinA/preInvA pass runs the partition
+// route's constructibility test (partitionMemo.slackErr) when pm is
+// non-nil. fill returns the lowest session index that test refused, or
+// len(ord) when it refused none.
+func (m *orderingMemo) fill(s Server, ord []int, rates []float64, totalPhi float64, floats []float64, posOf []int, pm *partitionMemo) (bad int) {
 	n := len(ord)
-	// One float block backs every per-position array.
-	floats := make([]float64, (n+1)+n+(n+1))
-	m := &orderingMemo{
+	*m = orderingMemo{
 		s:        s,
 		ord:      ord,
 		rates:    rates,
-		totalPhi: s.TotalPhi(),
+		totalPhi: totalPhi,
 		tailPhi:  floats[: n+1 : n+1],
 		preMinA:  floats[n+1 : 2*n+1 : 2*n+1],
-		preInvA:  floats[2*n+1:],
+		preInvA:  floats[2*n+1 : 3*n+2 : 3*n+2],
 	}
+	sessions := s.Sessions
+	m.tailPhi[n] = 0
 	for pos := n - 1; pos >= 0; pos-- {
-		m.tailPhi[pos] = m.tailPhi[pos+1] + s.Sessions[ord[pos]].Phi
+		j := ord[pos]
+		m.tailPhi[pos] = m.tailPhi[pos+1] + sessions[j].Phi
+		if posOf != nil {
+			posOf[j] = pos
+		}
 	}
+	bad = n
+	// The test is a pure function of a session's φ, ρ and class, and the
+	// sessions of one type sit next to each other in the ordering (equal
+	// ratios), so a one-entry memo of its last verdict spares a run of
+	// them the divisions.
+	last := struct {
+		phi, rho uint64
+		class    int
+		ok       bool
+	}{class: -1}
 	minA := math.Inf(1)
 	invA := 0.0
 	for pos, j := range ord {
 		m.preMinA[pos] = minA
 		m.preInvA[pos] = invA
-		a := s.Sessions[j].Arrival.Alpha
+		s := &sessions[j]
+		a := s.Arrival.Alpha
 		if a < minA {
 			minA = a
 		}
 		invA += 1 / a
+		if pm == nil || j > bad {
+			continue
+		}
+		phi, rho, c := math.Float64bits(s.Phi), math.Float64bits(s.Arrival.Rho), pm.p.ClassOf[j]
+		if c != last.class || phi != last.phi || rho != last.rho {
+			last.phi, last.rho, last.class = phi, rho, c
+			last.ok = pm.slackErr(j) == nil
+		}
+		if !last.ok {
+			bad = j
+		}
 	}
 	m.preInvA[n] = invA
-	return m
+	return bad
 }
 
 // gOf is the guaranteed rate g_i = φ_i/Σφ·r, computed on demand from the
@@ -374,9 +417,11 @@ type partitionMemo struct {
 	s        Server
 	p        Partition
 	totalPhi float64 // Σφ, the left-to-right fold of Server.TotalPhi
-	// Per class l: aggregate rate ρ̃_l, the smallest member decay rate,
-	// and the aggregate σ̂ (Σ member σ̂, iterated in class/index order).
+	// Per class l: aggregate rate ρ̃_l and weight φ̃_l, the smallest
+	// member decay rate, and the aggregate σ̂ (Σ member σ̂, iterated in
+	// class/index order).
 	classRho   []float64
+	classPhi   []float64
 	classMinA  []float64
 	classSumSH []func(float64) float64
 	// Per class c: earlierRho[c] = Σ_{l < c} ρ̃_l and laterPhi[c] =
@@ -395,40 +440,85 @@ type partitionMemo struct {
 }
 
 func (s Server) newPartitionMemo(p Partition) *partitionMemo {
-	L := len(p.Classes)
-	// One float block backs every per-class array (including the
-	// classPhi temporary).
-	floats := make([]float64, 7*L)
-	m := &partitionMemo{
-		s: s, p: p,
-		totalPhi:     s.TotalPhi(),
-		classRho:     floats[:L:L],
-		classMinA:    floats[L : 2*L : 2*L],
-		classSumSH:   make([]func(float64) float64, L),
-		earlierRho:   floats[2*L : 3*L : 3*L],
-		laterPhi:     floats[3*L : 4*L : 4*L],
-		preMinClassA: floats[4*L : 5*L : 5*L],
-		preInvClassA: floats[5*L : 6*L : 6*L],
+	m := new(partitionMemo)
+	m.addPartition(s, p)
+	m.finish(s, p, s.TotalPhi())
+	return m
+}
+
+// The memo is built in two steps, so that a caller that discovers the
+// classes one member at a time (the DeltaAnalyzer's partition scan)
+// folds the per-class aggregates as it goes instead of walking the
+// classes again: reset, then openClass and addMember for every class
+// and its members in class order, then finish. addPartition does the
+// middle step for a finished partition.
+
+// reset empties the per-class aggregates, keeping their arrays, with
+// room for L classes in one block when they have less.
+func (m *partitionMemo) reset(L int) {
+	if cap(m.classRho) < L || cap(m.classPhi) < L || cap(m.classMinA) < L {
+		floats := make([]float64, 7*L)
+		m.classRho = floats[:0:L]
+		m.classPhi = floats[L : L : 2*L]
+		m.classMinA = floats[2*L : 2*L : 3*L]
+		m.earlierRho = floats[3*L : 3*L : 4*L]
+		m.laterPhi = floats[4*L : 4*L : 5*L]
+		m.preMinClassA = floats[5*L : 5*L : 6*L]
+		m.preInvClassA = floats[6*L : 6*L : 7*L]
 	}
-	classPhi := floats[6*L:]
+	m.classRho, m.classPhi, m.classMinA = m.classRho[:0], m.classPhi[:0], m.classMinA[:0]
+}
+
+// openClass starts the aggregates of the next class.
+func (m *partitionMemo) openClass() {
+	m.classRho = append(m.classRho, 0)
+	m.classPhi = append(m.classPhi, 0)
+	m.classMinA = append(m.classMinA, math.Inf(1))
+}
+
+// addMember folds one member of class l into its aggregates. Members
+// arrive in class order, which is index order.
+func (m *partitionMemo) addMember(l int, s *Session) {
+	m.classRho[l] += s.Arrival.Rho
+	m.classPhi[l] += s.Phi
+	if a := s.Arrival.Alpha; a < m.classMinA[l] {
+		m.classMinA[l] = a
+	}
+}
+
+// addPartition resets the memo and folds every class of p.
+func (m *partitionMemo) addPartition(s Server, p Partition) {
+	m.reset(len(p.Classes))
 	for l, class := range p.Classes {
-		minA := math.Inf(1)
+		m.openClass()
 		for _, j := range class {
-			a := s.Sessions[j].Arrival
-			m.classRho[l] += a.Rho
-			classPhi[l] += s.Sessions[j].Phi
-			if a.Alpha < minA {
-				minA = a.Alpha
-			}
+			m.addMember(l, &s.Sessions[j])
 		}
-		m.classMinA[l] = minA
-		m.classSumSH[l] = classSumSigmaHat(s.Sessions, class)
 	}
-	for c := 1; c < L; c++ {
-		m.earlierRho[c] = m.earlierRho[c-1] + m.classRho[c-1]
+}
+
+// finish derives the memo's cross-class prefix and suffix arrays from
+// the folded aggregates of partition p of s, whose Σφ fold is totalPhi.
+func (m *partitionMemo) finish(s Server, p Partition, totalPhi float64) {
+	L := len(p.Classes)
+	m.s, m.p, m.totalPhi = s, p, totalPhi
+	m.classSumSH = m.classSumSH[:0]
+	for _, class := range p.Classes {
+		m.classSumSH = append(m.classSumSH, classSumSigmaHat(s.Sessions, class))
+	}
+	m.earlierRho = resize(m.earlierRho, L, 0)
+	m.laterPhi = resize(m.laterPhi, L, 0)
+	m.preMinClassA = resize(m.preMinClassA, L, 0)
+	m.preInvClassA = resize(m.preInvClassA, L, 0)
+	for c := 0; c < L; c++ {
+		if c == 0 {
+			m.earlierRho[c] = 0
+		} else {
+			m.earlierRho[c] = m.earlierRho[c-1] + m.classRho[c-1]
+		}
 	}
 	for c := L - 1; c >= 0; c-- {
-		m.laterPhi[c] = classPhi[c]
+		m.laterPhi[c] = m.classPhi[c]
 		if c+1 < L {
 			m.laterPhi[c] += m.laterPhi[c+1]
 		}
@@ -443,7 +533,36 @@ func (s Server) newPartitionMemo(p Partition) *partitionMemo {
 		}
 		invA += 1 / m.classMinA[c]
 	}
-	return m
+}
+
+// resize returns s at length n, reallocating with room for spare more
+// only when its capacity is short; the contents are stale either way.
+// Buffers reused across refreshes of a population whose size drifts
+// take spare room, so the drift does not reallocate them.
+func resize[T any](s []T, n, spare int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+spare)
+	}
+	return s[:n]
+}
+
+// slackErr reports why session i's partition-route bound cannot be
+// constructed, or nil when it can. Theorems 11/12 need rate slack inside
+// the session's class (gEff > ρ). An H_1 session's Theorem 10 tail runs
+// Lemma 5 at g = φ/Σφ·r instead, and g folds Σφ over the session slice
+// where gEff folds it class by class, so the two can straddle ρ by an
+// ulp: its slack is checked on its own, exactly as
+// ebb.Process.DeltaTail refuses it.
+func (m *partitionMemo) slackErr(i int) error {
+	rho := m.s.Sessions[i].Arrival.Rho
+	geo := m.geometry(i)
+	if !(geo.epsBudget > 0) {
+		return fmt.Errorf("gpsmath: session %d has no rate slack in its class (gEff = %v, rho = %v)", i, geo.gEff, rho)
+	}
+	if geo.class == 0 && m.gOf(i)-rho <= 0 {
+		return fmt.Errorf("gpsmath: session %d: Theorem 10 at g = %v: %w", i, m.gOf(i), ebb.ErrRateTooSmall)
+	}
+	return nil
 }
 
 // classSumSigmaHat is the σ̂ of one partition class's aggregate flow:

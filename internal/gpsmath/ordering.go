@@ -41,35 +41,58 @@ func (e EpsilonSplit) String() string {
 // (using slightly less than the full slack keeps strict inequalities
 // strict in the presence of rounding).
 func (s Server) DecomposedRates(split EpsilonSplit, frac float64) ([]float64, error) {
-	// The negated form catches NaN, which satisfies neither comparison.
-	if !(frac > 0 && frac <= 1) {
-		return nil, fmt.Errorf("%w: slack fraction = %v, want in (0,1]", ErrInvalidInput, frac)
+	totRho, totPhi := s.TotalRho(), 0.0
+	if split == SplitByPhi {
+		totPhi = s.TotalPhi()
 	}
-	slack := s.Slack() * frac
-	if slack <= 0 {
-		return nil, ErrOverloaded
+	sp, err := newSlackSplit(split, frac, s.Rate, len(s.Sessions), totRho, totPhi)
+	if err != nil {
+		return nil, err
 	}
-	n := len(s.Sessions)
-	rates := make([]float64, n)
-	switch split {
-	case SplitEqual:
-		for i, sess := range s.Sessions {
-			rates[i] = sess.Arrival.Rho + slack/float64(n)
-		}
-	case SplitProportional:
-		tot := s.TotalRho()
-		for i, sess := range s.Sessions {
-			rates[i] = sess.Arrival.Rho + slack*sess.Arrival.Rho/tot
-		}
-	case SplitByPhi:
-		tot := s.TotalPhi()
-		for i, sess := range s.Sessions {
-			rates[i] = sess.Arrival.Rho + slack*sess.Phi/tot
-		}
-	default:
-		return nil, fmt.Errorf("gpsmath: unknown epsilon split %v", split)
+	rates := make([]float64, len(s.Sessions))
+	for i := range s.Sessions {
+		rates[i] = sp.rate(&s.Sessions[i])
 	}
 	return rates, nil
+}
+
+// slackSplit is one population's slack distribution: DecomposedRates
+// and the DeltaAnalyzer's fused refresh pass both take every r_i from
+// its rate method, so both produce the same bits.
+type slackSplit struct {
+	split          EpsilonSplit
+	slack, share   float64 // share = slack/N, the SplitEqual ε
+	totRho, totPhi float64
+}
+
+// newSlackSplit checks frac and the stability condition, in that order,
+// from the population's Σρ (and Σφ under SplitByPhi), each the
+// left-to-right fold of TotalRho and TotalPhi.
+func newSlackSplit(split EpsilonSplit, frac, rate float64, n int, totRho, totPhi float64) (slackSplit, error) {
+	// The negated form catches NaN, which satisfies neither comparison.
+	if !(frac > 0 && frac <= 1) {
+		return slackSplit{}, fmt.Errorf("%w: slack fraction = %v, want in (0,1]", ErrInvalidInput, frac)
+	}
+	slack := (rate - totRho) * frac
+	if slack <= 0 {
+		return slackSplit{}, ErrOverloaded
+	}
+	if split != SplitEqual && split != SplitProportional && split != SplitByPhi {
+		return slackSplit{}, fmt.Errorf("gpsmath: unknown epsilon split %v", split)
+	}
+	return slackSplit{split: split, slack: slack, share: slack / float64(n), totRho: totRho, totPhi: totPhi}, nil
+}
+
+// rate is the decomposed rate r = ρ + ε of one session.
+func (sp *slackSplit) rate(s *Session) float64 {
+	switch sp.split {
+	case SplitEqual:
+		return s.Arrival.Rho + sp.share
+	case SplitProportional:
+		return s.Arrival.Rho + sp.slack*s.Arrival.Rho/sp.totRho
+	default:
+		return s.Arrival.Rho + sp.slack*s.Phi/sp.totPhi
+	}
 }
 
 // ErrNoFeasibleOrdering is returned when no ordering satisfies eq. (5);

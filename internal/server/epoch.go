@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -14,8 +15,11 @@ import (
 
 // Epoch is one immutable published snapshot: the session set as a
 // gpsmath.Server, its full memoized analysis, and the admission
-// bookkeeping derived from both. Readers share epochs freely; nothing
-// in an epoch is ever mutated after Store.
+// bookkeeping derived from both. Nothing in an epoch is mutated after
+// publish. Its scalar fields may be read at any time; its arrays only
+// by a reader that pinned the epoch (Daemon.pinEpoch), or through one
+// CurrentEpoch handed out, since the writer recycles the arrays of a
+// retired epoch once no pin holds it (see Daemon.reclaim).
 type Epoch struct {
 	Seq     uint64
 	BuiltAt time.Time
@@ -39,9 +43,14 @@ type Epoch struct {
 	// monotonically, so admits append in sorted position).
 	idsSorted []uint64
 	posSorted []int
-	// backing is the pooled array generation behind IDs/Targets and the
-	// sorted index; the epoch holds a reference until it is finalized.
+	// backing is the refcounted array generation behind IDs/Targets and
+	// the sorted index; the epoch holds a reference until it is
+	// reclaimed.
 	backing *shadowBacking
+	// readers counts the pins held on the epoch; escaped marks an epoch
+	// CurrentEpoch handed out, which is never recycled.
+	readers atomic.Int32
+	escaped atomic.Bool
 
 	Used float64 // Σ required rates at build time
 	// TargetsMet counts sessions whose epoch-analysis delay bound meets
@@ -323,7 +332,9 @@ func (d *Daemon) countClassify(ep *Epoch) {
 // from-scratch AnalyzeServer over the same session slice. A mismatch
 // is surfaced as a metric, the fresh analysis is adopted into the
 // epoch (with its bookkeeping recomputed), and the incremental
-// analyzer is dropped so the next rebuild reseeds it.
+// analyzer is dropped so the next rebuild reseeds it. The replaced
+// analysis, never published, goes with the analyzer: there is none
+// left to recycle it into.
 func (d *Daemon) selfCheck(ep *Epoch) {
 	d.met.SelfChecks.Add(1)
 	if ep.Analysis == nil {

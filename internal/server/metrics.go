@@ -188,7 +188,7 @@ func writeNode(w io.Writer, front *Metrics, ds []*Daemon, rate float64, led *led
 		if d.met != front {
 			mets = append(mets, d.met)
 		}
-		ep := d.CurrentEpoch()
+		ep := d.epoch.Load() // scalar fields only: no pin
 		if ep == nil {
 			// A scrape that races startup renders zeros, not a panic.
 			ep = &Epoch{}

@@ -358,7 +358,7 @@ type Daemon struct {
 	// swap-remove) and shTargets change with every decision, the sorted
 	// id index only at a publish.
 	delta       *gpsmath.DeltaAnalyzer
-	shadow      *shadowBacking // pooled arrays the sh* slices alias
+	shadow      *shadowBacking // refcounted arrays the sh* slices alias
 	shIDs       []uint64
 	shTargets   []admission.Target
 	shIDsSorted []uint64
@@ -375,6 +375,12 @@ type Daemon struct {
 	lastTypeKey rateKey
 	lastType    *typeEntry
 	deltaBuilds int // delta-built epochs, drives the self-check cadence
+	// retired lists the superseded epochs a reader still pinned at the
+	// last reclaim; freeShadow holds the shadow backings no epoch reads;
+	// recycled counts the epochs reclaim recycled.
+	retired    []*Epoch
+	freeShadow []*shadowBacking
+	recycled   int
 
 	// Snapshot offload: the writer captures the state synchronously
 	// (cheap) and a background goroutine pays for the disk work, so
@@ -486,6 +492,9 @@ func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 		// single-writer discipline, not a violation of it.
 		d.expirePrepares(time.Now().UnixNano())
 		d.met.WALRecoveredOps.Store(int64(len(cfg.Recovered.Ops)))
+		// The history is read only here; holding it would keep the whole
+		// decoded log reachable for the life of the process.
+		d.cfg.Recovered = nil
 	}
 	d.capBits.Store(math.Float64bits(d.capacity))
 	ep, err := d.buildEpoch(1)
@@ -512,8 +521,17 @@ func (d *Daemon) RetryAfter() time.Duration { return d.cfg.RetryAfter }
 // QueueDepth returns the instantaneous mutation-queue occupancy.
 func (d *Daemon) QueueDepth() int { return len(d.ops) }
 
-// CurrentEpoch returns the most recently published immutable snapshot.
-func (d *Daemon) CurrentEpoch() *Epoch { return d.epoch.Load() }
+// CurrentEpoch returns the most recently published immutable snapshot
+// for the caller to keep: the epoch is marked escaped, so the writer
+// never recycles its arrays and the collector frees them once the last
+// reference goes. The serving paths pin instead (pinEpoch), which lets
+// the writer reuse an epoch's arrays once its readers are done.
+func (d *Daemon) CurrentEpoch() *Epoch {
+	ep := d.pinEpoch()
+	ep.escaped.Store(true)
+	ep.unpin()
+	return ep
+}
 
 // Pending reports whether the session is admitted in the live set even
 // if it has not yet appeared in a published epoch (epoch lag), letting
@@ -782,7 +800,7 @@ func (d *Daemon) apply(o op) {
 func (d *Daemon) addRecord(rec *record) {
 	if len(d.shIDs) == cap(d.shIDs) {
 		// Re-seat a full shadow backing explicitly: letting append
-		// reallocate would silently detach the writer from the pooled,
+		// reallocate would silently detach the writer from the
 		// refcounted arrays. Appends are safe against published epochs,
 		// which hold shorter lengths.
 		d.ownShadow(len(d.shIDs)/8 + 64)

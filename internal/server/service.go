@@ -80,9 +80,12 @@ type HealthView struct {
 	Prepares int
 }
 
-// Bounds implements Service over the current epoch.
+// Bounds implements Service over the current epoch, pinned for the
+// read.
 func (d *Daemon) Bounds(id uint64, q, dly float64) (BoundsReport, bool) {
-	return d.CurrentEpoch().BoundsFor(id, q, dly)
+	ep := d.pinEpoch()
+	defer ep.unpin()
+	return ep.BoundsFor(id, q, dly)
 }
 
 // EpochAgeBound implements Service.
@@ -95,8 +98,11 @@ func (d *Daemon) HTTPMetrics() *Metrics { return d.met }
 // for a standalone daemon, the ledger-granted slice for a shard.
 func (d *Daemon) Capacity() float64 { return math.Float64frombits(d.capBits.Load()) }
 
-// partitionView assembles the classes-by-id view from one epoch.
-func partitionView(ep *Epoch) PartitionView {
+// partitionView assembles the classes-by-id view of the current epoch,
+// pinned for the copy.
+func (d *Daemon) partitionView() PartitionView {
+	ep := d.pinEpoch()
+	defer ep.unpin()
 	out := PartitionView{Epoch: ep.Seq, Sessions: ep.Sessions(), Classes: [][]uint64{}}
 	if ep.Analysis != nil {
 		for _, class := range ep.Analysis.Partition.Classes {
@@ -116,7 +122,7 @@ func (d *Daemon) Partition(shard int) (PartitionView, error) {
 	if shard > 0 {
 		return PartitionView{}, errNoShard
 	}
-	return partitionView(d.CurrentEpoch()), nil
+	return d.partitionView(), nil
 }
 
 // Health implements Service.
@@ -124,7 +130,7 @@ func (d *Daemon) Health() HealthView {
 	d.mu.RLock()
 	draining := d.closing
 	d.mu.RUnlock()
-	ep := d.CurrentEpoch()
+	ep := d.epoch.Load() // scalar fields only: no pin
 	return HealthView{
 		Draining: draining,
 		Degraded: d.degraded.Load(),

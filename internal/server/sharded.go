@@ -309,11 +309,11 @@ func (s *Sharded) Partition(shard int) (PartitionView, error) {
 		if shard >= s.n {
 			return PartitionView{}, errNoShard
 		}
-		return partitionView(s.shards[shard].CurrentEpoch()), nil
+		return s.shards[shard].partitionView(), nil
 	}
 	out := PartitionView{Classes: [][]uint64{}}
 	for _, d := range s.shards {
-		v := partitionView(d.CurrentEpoch())
+		v := d.partitionView()
 		out.Epoch += v.Epoch
 		out.Sessions += v.Sessions
 		out.Classes = append(out.Classes, v.Classes...)
@@ -327,7 +327,7 @@ func (s *Sharded) Partition(shard int) (PartitionView, error) {
 func (s *Sharded) Health() HealthView {
 	h := HealthView{Rate: s.cfg.Rate, Shards: s.n, Draining: s.closing.Load()}
 	for _, d := range s.shards {
-		ep := d.CurrentEpoch()
+		ep := d.epoch.Load() // scalar fields only: no pin
 		h.EpochSeq += ep.Seq
 		h.Sessions += ep.Sessions()
 		h.Used += ep.Used
