@@ -77,7 +77,7 @@ func AnalyzeServer(srv Server, opts Options) (*Analysis, error) {
 	}
 	g := &generation{rates: rates, ord: ord}
 	g.pm.addPartition(srv, part)
-	return newAnalysis(srv, opts, srv.TotalPhi(), part, g, false)
+	return newAnalysis(srv, opts, srv.TotalPhi(), part, g)
 }
 
 // generation holds the arrays one analysis reads besides its session
@@ -111,21 +111,14 @@ type generation struct {
 // session's partition-route bounds are constructible, naming the lowest
 // session index that is not; the ordering route's constructors cannot
 // fail for a position of the ordering.
-//
-// With fused set the constructibility test runs inside the ordering
-// memo's forward pass, for the DeltaAnalyzer's populations: a few
-// declared types, each adjacent in the ordering, so the pass's
-// one-entry memo spares nearly every session the test. Over distinct
-// ratios — AnalyzeServer's general case — the ordering visits the
-// sessions at random and the test would cost that pass more than a
-// separate sweep in index order (16.8 vs 7.7 ms per assembly at 131k
-// random sessions, EXPERIMENTS.md EXT-RECLAIM), so the verified
-// constructor sweeps.
-func newAnalysis(srv Server, opts Options, totalPhi float64, part Partition, g *generation, fused bool) (*Analysis, error) {
+func newAnalysis(srv Server, opts Options, totalPhi float64, part Partition, g *generation) (*Analysis, error) {
 	n := len(srv.Sessions)
 	g.posOf = resize(g.posOf, n, 0)
 	g.floats = resize(g.floats, orderingFloats(n), 0)
 	g.pm.finish(srv, part, totalPhi)
+	if i := g.pm.firstRefused(); i < n {
+		return nil, g.pm.slackErr(i)
+	}
 	a := &Analysis{
 		Server:    srv,
 		Partition: part,
@@ -137,19 +130,7 @@ func newAnalysis(srv Server, opts Options, totalPhi float64, part Partition, g *
 		posOf:     g.posOf,
 		gen:       g,
 	}
-	var pm *partitionMemo
-	if fused {
-		pm = &g.pm
-	}
-	bad := g.om.fill(srv, a.Ordering, a.Rates, totalPhi, g.floats, g.posOf, pm)
-	for i := 0; !fused && i < bad; i++ {
-		if g.pm.slackErr(i) != nil {
-			bad = i
-		}
-	}
-	if bad < n {
-		return nil, g.pm.slackErr(bad)
-	}
+	g.om.fill(srv, a.Ordering, a.Rates, totalPhi, g.floats, g.posOf)
 	return a, nil
 }
 

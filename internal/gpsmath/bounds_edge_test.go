@@ -137,10 +137,8 @@ func TestCheckFeasibleCoversTheorem10(t *testing.T) {
 	}
 	g := &generation{ord: []int{0, 1, 2}, rates: []float64{tiny, tiny, 1 - math.Ldexp(1, -52)}}
 	g.pm.addPartition(srv, part)
-	for _, fused := range []bool{false, true} {
-		_, err := newAnalysis(srv, Options{Independent: true}, srv.TotalPhi(), part, g, fused)
-		if !errors.Is(err, ebb.ErrRateTooSmall) {
-			t.Fatalf("newAnalysis (fused %v) = %v, want a refusal wrapping ErrRateTooSmall", fused, err)
-		}
+	_, err := newAnalysis(srv, Options{Independent: true}, srv.TotalPhi(), part, g)
+	if !errors.Is(err, ebb.ErrRateTooSmall) {
+		t.Fatalf("newAnalysis = %v, want a refusal wrapping ErrRateTooSmall", err)
 	}
 }

@@ -41,8 +41,8 @@ import (
 // index-order fold of Σρ and Σφ (the folds TotalRho and TotalPhi take,
 // computed once and shared by the slack, the partition and both memos),
 // one pass that fills the rates, the ordering ratios and the first
-// partition round, and the ordering memo's two passes, which also fill
-// the inverse permutation and run the feasibility test. What the delta
+// partition round, the feasibility test's index-order sweep, and the
+// ordering memo's two passes, which also fill the inverse permutation. What the delta
 // path eliminates is everything superlinear or heavyweight: the
 // O(N log N) sorts (the ordering repaired in O(N + moves), the
 // partition scanned over the maintained ρ/φ ratios) and the eq. (5)
@@ -516,7 +516,7 @@ func (d *DeltaAnalyzer) refresh() error {
 		}
 	}
 	g.arena, g.classes = arena, part.Classes
-	an, err := newAnalysis(srv, d.opts, totPhi, part, g, true)
+	an, err := newAnalysis(srv, d.opts, totPhi, part, g)
 	if err != nil {
 		d.putGen(g)
 		return err

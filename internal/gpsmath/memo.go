@@ -109,7 +109,7 @@ func (s Server) newOrderingMemo(ord []int, rates []float64) *orderingMemo {
 	m := new(orderingMemo)
 	n := len(ord)
 	m.fill(s, append([]int(nil), ord...), append([]float64(nil), rates...), s.TotalPhi(),
-		make([]float64, orderingFloats(n)), nil, nil)
+		make([]float64, orderingFloats(n)), nil)
 	return m
 }
 
@@ -120,16 +120,10 @@ func orderingFloats(n int) int { return (n + 1) + n + (n + 1) }
 // fill (re)builds the memo over ord and rates, which it keeps without
 // copying, in two passes over the ordering with every per-position
 // array carved from floats (orderingFloats(len(ord)) long; stale
-// contents are overwritten). totalPhi is the population's Σφ fold.
-//
-// The passes also do the analysis's own per-session work, so an
-// analysis walks its population twice here rather than four times: the
-// backward tailPhi pass fills posOf (the inverse permutation) when it
-// is non-nil, and the forward preMinA/preInvA pass runs the partition
-// route's constructibility test (partitionMemo.slackErr) when pm is
-// non-nil. fill returns the lowest session index that test refused, or
-// len(ord) when it refused none.
-func (m *orderingMemo) fill(s Server, ord []int, rates []float64, totalPhi float64, floats []float64, posOf []int, pm *partitionMemo) (bad int) {
+// contents are overwritten). totalPhi is the population's Σφ fold. The
+// backward tailPhi pass also fills posOf, the inverse permutation, when
+// it is non-nil, so an analysis does not walk its ordering a third time.
+func (m *orderingMemo) fill(s Server, ord []int, rates []float64, totalPhi float64, floats []float64, posOf []int) {
 	n := len(ord)
 	*m = orderingMemo{
 		s:        s,
@@ -149,41 +143,18 @@ func (m *orderingMemo) fill(s Server, ord []int, rates []float64, totalPhi float
 			posOf[j] = pos
 		}
 	}
-	bad = n
-	// The test is a pure function of a session's φ, ρ and class, and the
-	// sessions of one type sit next to each other in the ordering (equal
-	// ratios), so a one-entry memo of its last verdict spares a run of
-	// them the divisions.
-	last := struct {
-		phi, rho uint64
-		class    int
-		ok       bool
-	}{class: -1}
 	minA := math.Inf(1)
 	invA := 0.0
 	for pos, j := range ord {
 		m.preMinA[pos] = minA
 		m.preInvA[pos] = invA
-		s := &sessions[j]
-		a := s.Arrival.Alpha
+		a := sessions[j].Arrival.Alpha
 		if a < minA {
 			minA = a
 		}
 		invA += 1 / a
-		if pm == nil || j > bad {
-			continue
-		}
-		phi, rho, c := math.Float64bits(s.Phi), math.Float64bits(s.Arrival.Rho), pm.p.ClassOf[j]
-		if c != last.class || phi != last.phi || rho != last.rho {
-			last.phi, last.rho, last.class = phi, rho, c
-			last.ok = pm.slackErr(j) == nil
-		}
-		if !last.ok {
-			bad = j
-		}
 	}
 	m.preInvA[n] = invA
-	return bad
 }
 
 // gOf is the guaranteed rate g_i = φ_i/Σφ·r, computed on demand from the
@@ -563,6 +534,31 @@ func (m *partitionMemo) slackErr(i int) error {
 		return fmt.Errorf("gpsmath: session %d: Theorem 10 at g = %v: %w", i, m.gOf(i), ebb.ErrRateTooSmall)
 	}
 	return nil
+}
+
+// firstRefused returns the lowest session index whose partition-route
+// bounds slackErr refuses, or the session count when it refuses none.
+// The test is a pure function of a session's φ, ρ and class, so a
+// one-entry memo of the last verdict spares a run of like sessions (a
+// single-type population's, say) the divisions.
+func (m *partitionMemo) firstRefused() int {
+	last := struct {
+		phi, rho uint64
+		class    int
+		ok       bool
+	}{class: -1}
+	for i := range m.s.Sessions {
+		s := &m.s.Sessions[i]
+		phi, rho, c := math.Float64bits(s.Phi), math.Float64bits(s.Arrival.Rho), m.p.ClassOf[i]
+		if c != last.class || phi != last.phi || rho != last.rho {
+			last.phi, last.rho, last.class = phi, rho, c
+			last.ok = m.slackErr(i) == nil
+		}
+		if !last.ok {
+			return i
+		}
+	}
+	return len(m.s.Sessions)
 }
 
 // classSumSigmaHat is the σ̂ of one partition class's aggregate flow:

@@ -13,6 +13,9 @@
 # side's samples go through tools/benchjson, which keeps the fastest of
 # the N per benchmark; every sample is also echoed to stderr, tagged
 # base or change, so the spread behind each minimum stays visible.
+# A BENCH-filtered pair lacks most hot paths, and `make benchcheck`
+# fails on a newest snapshot that lacks one: commit only a full-suite
+# pair.
 set -eu
 
 : "${BASE:?set BASE to the revision to compare against}"
