@@ -42,11 +42,11 @@ import (
 // computed once and shared by the slack, the partition and both memos),
 // one pass that fills the rates, the ordering ratios and the first
 // partition round, the feasibility test's index-order sweep, and the
-// ordering memo's two passes, which also fill the inverse permutation. What the delta
-// path eliminates is everything superlinear or heavyweight: the
-// O(N log N) sorts (the ordering repaired in O(N + moves), the
-// partition scanned over the maintained ρ/φ ratios) and the eq. (5)
-// verification pass.
+// ordering memo's two passes, which also fill the inverse permutation.
+// What the delta path eliminates is everything superlinear or
+// heavyweight: the O(N log N) sorts (the ordering repaired in
+// O(N + moves), the partition scanned over the maintained ρ/φ ratios)
+// and the eq. (5) verification pass.
 //
 // Nor does a steady refresh allocate. Its arrays live in generations
 // the owner hands back through Recycle once no reader can see them, and
