@@ -1117,11 +1117,11 @@ func benchEpochDelta(b *testing.B, population int) {
 // BenchmarkEpochBatch times the epoch publish after a batch of k
 // decisions, half of them releases, at the shape of each gpsdbench node
 // workload: node-churn's ~1,800-op batches over 10k palette4 sessions,
-// one node-sharded-read shard's 17-op batches over 25k palette64
-// sessions, and node-131k's 3-op batches over 131,072 palette1
-// sessions, all at 75% load. Only the publish is timed; the decisions
-// run with the timer stopped. The self-check is disabled, as in
-// BenchmarkEpochDelta.
+// one node-sharded-read shard's 17- and 90-op batches over 25k
+// palette64 sessions, and node-131k's 3-op batches over 131,072
+// palette1 sessions, all at 75% load. Only the publish is timed; the
+// decisions run with the timer stopped. The self-check is disabled, as
+// in BenchmarkEpochDelta.
 func BenchmarkEpochBatch(b *testing.B) {
 	for _, c := range []struct {
 		palette       string
@@ -1130,6 +1130,7 @@ func BenchmarkEpochBatch(b *testing.B) {
 	}{
 		{"palette4", func(*testing.B) []server.AdmitRequest { return gpsdloadPalette }, 10_000, 1800},
 		{"palette64", func(b *testing.B) []server.AdmitRequest { reqs, _ := shardedBenchPalette(b); return reqs }, 25_000, 17},
+		{"palette64", func(b *testing.B) []server.AdmitRequest { reqs, _ := shardedBenchPalette(b); return reqs }, 25_000, 90},
 		{"palette1", func(*testing.B) []server.AdmitRequest { return []server.AdmitRequest{epochDeltaReq} }, 131_072, 3},
 	} {
 		b.Run(fmt.Sprintf("%s/sessions-%d/ops-%d", c.palette, c.sessions, c.ops), func(b *testing.B) {

@@ -32,6 +32,7 @@ gpsd_epoch_age_seconds gauge
 gpsd_epoch_delta_fallbacks_total counter
 gpsd_epoch_delta_rebuilds_total counter
 gpsd_epoch_full_rebuilds_total counter
+gpsd_epoch_orderings_total counter
 gpsd_epoch_rebuild_failures_total counter
 gpsd_epoch_rebuild_seconds_total_nanos counter
 gpsd_epoch_rebuilds_total counter

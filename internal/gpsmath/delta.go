@@ -1,8 +1,10 @@
 package gpsmath
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,7 +30,8 @@ import (
 //     the sorted permutation is unique: insertion-repairing the
 //     previous epoch's ordering lands on the same permutation a fresh
 //     sort would, element for element. The seed a batch hands the
-//     repair changes its cost, never its result.
+//     repair — the previous ordering with the batch's changed sessions
+//     merged in — changes its cost, never its result.
 //  3. Both refresh paths end in the one assembly helper AnalyzeServer
 //     uses (newAnalysis): the same memos, the same feasibility guard,
 //     the same on-demand bound constructors — there is no second
@@ -117,9 +120,9 @@ type DeltaAnalyzer struct {
 	stats     DeltaStats
 	// Writer-private scratch, reused across refreshes: nothing
 	// epoch-visible retains it. ratio backs the r_i/φ_i ordering ratios;
-	// now and fresh carry the seed through a batch's swap-removes.
-	ratio      []float64
-	now, fresh []int
+	// moved lists the sessions the seed merges in.
+	ratio []float64
+	moved []int
 	// Free lists of recycled generations and population backings.
 	freeGens []*generation
 	freePops []*population
@@ -388,43 +391,56 @@ func (d *DeltaAnalyzer) analyze() error {
 	return nil
 }
 
-// seed writes the ordering repair's starting permutation into ord: the
-// last refreshed ordering carried through the batch's swap-removes, with
-// the sessions admitted since appended at the end.
-func (d *DeltaAnalyzer) seed(ord []int) {
-	lastOrd := d.an.Ordering
-	if !d.carry {
-		copy(ord, lastOrd)
-		for i := len(lastOrd); i < len(ord); i++ {
-			ord[i] = i
-		}
-		return
-	}
-	// now[j] is one past the index last-refresh session j holds today,
-	// or 0 once released.
-	now := resize(d.now, len(lastOrd), len(lastOrd)/8+64)
-	clear(now)
-	fresh := d.fresh[:0]
-	for i, j := range d.origin {
-		if j >= len(now) {
-			fresh = append(fresh, i)
-		} else {
-			now[j] = i + 1
+// seed writes the ordering repair's starting permutation into ord,
+// given the refreshed ordering ratios. Every session still at the index
+// it had at the last refresh is carried in its last order; every
+// session whose index changed in the batch — admitted since, or moved
+// by a swap-remove — is merged in by (ratio, index). A moved session
+// must be merged, not carried: its index tie-break changed, so at its
+// old place it could sit a whole run of equal ratios away from its new
+// one. The repair is then left with the flips the slack nudge causes
+// among the carried sessions.
+func (d *DeltaAnalyzer) seed(ord []int, ratio []float64) {
+	last := d.an.Ordering
+	// A session is carried when it sits at an index of the last
+	// population and, if the batch released any, came from there.
+	stays := func(i int) bool { return i < len(last) && (!d.carry || d.origin[i] == i) }
+	moved := d.moved[:0]
+	for i := range ord {
+		if !stays(i) {
+			moved = append(moved, i)
 		}
 	}
-	k := 0
-	for _, j := range lastOrd {
-		if now[j] > 0 {
-			ord[k] = now[j] - 1
-			k++
+	slices.SortFunc(moved, func(a, b int) int {
+		if c := cmp.Compare(ratio[a], ratio[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// The carried sessions fill ord behind room for the moved ones; the
+	// merge then writes from the front and never overtakes its read.
+	w := len(moved)
+	for _, j := range last {
+		if j < len(ord) && stays(j) {
+			ord[w] = j
+			w++
 		}
 	}
-	copy(ord[k:], fresh)
-	d.now, d.fresh = now, fresh
+	r, w := len(moved), 0
+	for _, v := range moved {
+		for r < len(ord) && ratioBefore(ratio, ord[r], v) {
+			ord[w] = ord[r]
+			r, w = r+1, w+1
+		}
+		ord[w] = v
+		w++
+	}
+	d.moved = moved
 }
 
 // refresh repairs the last analysis into one of the staged population,
-// filling a recycled generation: the seed becomes the ordering in place.
+// filling a recycled generation: the ratios are refreshed first, and the
+// seed built from them becomes the ordering in place.
 //
 // The repair path skips the eq. (5) verification: the greedy min r/φ
 // order satisfies eq. (5) whenever Σr_i <= r (paper §3), and the slack
@@ -456,7 +472,6 @@ func (d *DeltaAnalyzer) refresh() error {
 		return err
 	}
 	g := d.takeGen(n)
-	d.seed(g.ord)
 	d.ratio = resize(d.ratio, n, n/8+64)
 	rates, ratio, classOf := g.rates, d.ratio, g.classOf
 	arena := g.arena[:0]
@@ -483,6 +498,7 @@ func (d *DeltaAnalyzer) refresh() error {
 			classOf[i] = -1
 		}
 	}
+	d.seed(g.ord, ratio)
 	if repairOrder(g.ord, ratio) {
 		d.stats.OrderRepairs++
 	} else {
@@ -525,21 +541,27 @@ func (d *DeltaAnalyzer) refresh() error {
 	return nil
 }
 
+// ratioBefore reports whether session a precedes session b in the
+// (ratio, index) order ratioOrder sorts by.
+func ratioBefore(ratio []float64, a, b int) bool {
+	return ratio[a] < ratio[b] || (ratio[a] == ratio[b] && a < b)
+}
+
 // repairOrder insertion-sorts ord by (ratio, index) in place, assuming
 // it is already nearly sorted, and reports whether it finished within
-// its move budget. A single admit/release displaces O(1) elements, but
+// its move budget. The seed places every session the batch changed, but
 // the slack shift also nudges every ratio, occasionally flipping
-// near-equal neighbors — hence a budget of a few N rather than exactly
-// the seeded displacement. On a bust the caller falls back to a full
-// sort; either way the result is the unique (ratio, index)-sorted
-// permutation, so the fallback changes cost, never bits.
+// near-equal neighbors — hence a budget of a few N rather than none. On
+// a bust the caller falls back to a full sort, the safety net; either
+// way the result is the unique (ratio, index)-sorted permutation, so
+// the fallback changes cost, never bits.
 func repairOrder(ord []int, ratio []float64) bool {
 	budget := 4*len(ord) + 64
 	moves := 0
 	for i := 1; i < len(ord); i++ {
 		v := ord[i]
 		j := i - 1
-		for j >= 0 && (ratio[v] < ratio[ord[j]] || (ratio[v] == ratio[ord[j]] && v < ord[j])) {
+		for j >= 0 && ratioBefore(ratio, v, ord[j]) {
 			ord[j+1] = ord[j]
 			j--
 			moves++

@@ -736,3 +736,76 @@ func FuzzDeltaAnalyzer(f *testing.F) {
 		}
 	})
 }
+
+// TestDeltaBatchRepairStaysLinear runs 40 refreshes of each of two
+// gpsd batch shapes — node-churn's 1,800- and 2,600-op batches over 10k
+// sessions of 4 types, and one node-sharded-read shard's 90-op batches
+// over 25k sessions of 64 types, half admits and half releases at 75%
+// load — and requires the seeded insertion repair to fix the ordering
+// in all but at most one of them: the seed merges the admitted and the
+// moved sessions, so only the slack nudge's flips are left to repair.
+// Every refresh is the fresh analysis, structure and memos bit for bit.
+func TestDeltaBatchRepairStaysLinear(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		palette []benchType
+		n       int
+		ops     []int
+	}{
+		{"node-churn", palette4, 10_000, []int{1800, 2600}},
+		{"node-sharded-read", palette64, 25_000, []int{90}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Rate for 75% load over the first n of the 2n drawn sessions.
+			srv, _ := gpsdServer(t, c.palette, 2*c.n, 2*0.75, uint64(c.n))
+			pool := srv.Sessions[c.n:]
+			srv.Sessions = srv.Sessions[:c.n:c.n]
+			opts := Options{Independent: true, Xi: XiOptimal}
+			d, err := NewDeltaAnalyzer(srv, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mirror := append([]Session(nil), srv.Sessions...)
+			rng := source.NewRNG(uint64(c.n) + 7)
+			const refreshes = 40
+			st := d.Stats()
+			for r := 0; r < refreshes; r++ {
+				ops := c.ops[r%len(c.ops)]
+				for k := 0; k < ops; k++ {
+					if k%2 == 0 {
+						s := pool[rng.Intn(len(pool))]
+						if err := d.Admit(s); err != nil {
+							t.Fatal(err)
+						}
+						mirror = append(mirror, s)
+						continue
+					}
+					pos, last := rng.Intn(len(mirror)), len(mirror)-1
+					if err := d.Release(pos); err != nil {
+						t.Fatal(err)
+					}
+					mirror[pos] = mirror[last]
+					mirror = mirror[:last]
+				}
+				an, err := d.Refresh()
+				if err != nil {
+					t.Fatalf("refresh %d: %v", r, err)
+				}
+				fresh, err := AnalyzeServer(Server{Rate: srv.Rate, Sessions: mirror}, opts)
+				if err != nil {
+					t.Fatalf("refresh %d: fresh AnalyzeServer: %v", r, err)
+				}
+				compareStructure(t, fmt.Sprintf("refresh %d (%d ops)", r, ops), an, fresh)
+			}
+			got := d.Stats()
+			sorts := got.OrderSorts - st.OrderSorts
+			if repairs := got.OrderRepairs - st.OrderRepairs; repairs+sorts != refreshes {
+				t.Fatalf("%d repairs and %d sorts over %d refreshes", repairs, sorts, refreshes)
+			}
+			if sorts > 1 {
+				t.Errorf("%d of %d refreshes fell back to a full sort, want at most 1", sorts, refreshes)
+			}
+			t.Logf("%d of %d refreshes fell back to a full sort", sorts, refreshes)
+		})
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
+	"repro/internal/ebb"
 	"repro/internal/gpsmath"
 )
 
@@ -425,5 +428,239 @@ func TestBoundsForSharedEvaluation(t *testing.T) {
 				same(id, "explicit DelayProb (unpruned)", rep.DelayProb, unpruned(i, pt[1], true))
 			}
 		}
+	}
+}
+
+// commitCluster admits req through the cluster two-phase path, which
+// reserves the coordinator's weight phi instead of the required rate a
+// direct admit reserves.
+func commitCluster(t *testing.T, d *Daemon, txid string, req AdmitRequest, phi float64) uint64 {
+	t.Helper()
+	res, err := d.Prepare(PrepareRequest{TxID: txid, Name: req.Name, Arrival: req.Arrival,
+		Target: req.Target, Phi: phi, TTL: time.Minute})
+	if err != nil || !res.Prepared {
+		t.Fatalf("prepare %s: %+v, %v", txid, res, err)
+	}
+	cr, err := d.CommitPrepared(txid, res.Shard)
+	if err != nil || !cr.Committed {
+		t.Fatalf("commit %s: %+v, %v", txid, cr, err)
+	}
+	return cr.ID
+}
+
+// TestTypeFoldSeparatesWeights admits one (arrival, target) twice: once
+// directly, at φ = its required rate, and once through a cluster commit,
+// at the coordinator's φ = ρ. The two sessions have different bounds, so
+// they are two types: the per-type counts and the per-session reads must
+// agree with the direct recomputations.
+func TestTypeFoldSeparatesWeights(t *testing.T) {
+	req := AdmitRequest{Name: "tree session", Arrival: ebb.Process{Rho: 0.25, Lambda: 1, Alpha: 0.9},
+		Target: admission.Target{Delay: 50, Eps: 1e-3}}
+	d := newTestDaemon(t, Config{Rate: 0.52, MaxEpochAge: time.Hour, MaxBatch: 1 << 30})
+	if res, err := d.Admit(req); err != nil || !res.Admitted {
+		t.Fatalf("admit: %+v, %v", res, err)
+	}
+	commitCluster(t, d, "tx-phi", req, req.Arrival.Rho)
+	ep := forceRebuild(t, d)
+	if ep.Sessions() != 2 {
+		t.Fatalf("epoch holds %d sessions, want 2", ep.Sessions())
+	}
+	if ep.Server.Sessions[0].Phi == ep.Server.Sessions[1].Phi {
+		t.Fatal("both paths reserved one weight; the test needs two")
+	}
+	checkEpochAgainstDirect(t, d, ep)
+	checkReadsAgainstFresh(t, d, ep)
+	if ep.TargetsMet != 1 {
+		t.Errorf("TargetsMet = %d, want 1: only the direct admit's weight meets the target", ep.TargetsMet)
+	}
+}
+
+// checkReadsAgainstFresh requires every session's default-point read to
+// be a fresh AnalyzeServer's best-of-routes values, bit for bit.
+func checkReadsAgainstFresh(t *testing.T, d *Daemon, ep *Epoch) {
+	t.Helper()
+	fresh, err := gpsmath.AnalyzeServer(ep.Server, *d.cfg.Opts)
+	if err != nil {
+		t.Fatalf("epoch %d: fresh AnalyzeServer: %v", ep.Seq, err)
+	}
+	for i, id := range ep.IDs {
+		rep, ok := ep.BoundsFor(id, 0, 0)
+		if !ok {
+			t.Fatalf("epoch %d: session %d not served", ep.Seq, id)
+		}
+		tg := ep.Targets[i]
+		delay := fresh.BestDelayTailValue(i, tg.Delay)
+		backlog := fresh.BestBacklogTailValue(i, fresh.PartitionBound(i).G*tg.Delay)
+		for _, c := range []struct {
+			field     string
+			got, want float64
+		}{
+			{"AchievedEps", rep.AchievedEps, delay},
+			{"DelayProb", rep.DelayProb, delay},
+			{"BacklogProb", rep.BacklogProb, backlog},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Fatalf("epoch %d session %d (index %d): %s = %v, fresh analysis says %v",
+					ep.Seq, id, i, c.field, c.got, c.want)
+			}
+		}
+	}
+}
+
+// typePalette returns k declared session types: the four test types
+// for k = 4, the first of them for k = 1, and otherwise k types whose
+// rates step like gpsdbench's 64-type sharded palette.
+func typePalette(k int) []AdmitRequest {
+	switch k {
+	case 1:
+		return testTypes[:1]
+	case 4:
+		return testTypes
+	}
+	reqs := make([]AdmitRequest, k)
+	for j := range reqs {
+		reqs[j] = AdmitRequest{Name: "palette",
+			Arrival: ebb.Process{Rho: 0.04 + 0.0005*float64(j), Lambda: 1, Alpha: 1.2},
+			Target:  admission.Target{Delay: 40, Eps: 1e-3}}
+	}
+	return reqs
+}
+
+// TestBoundsForTypeShared pins every default-point read, served from
+// its type's shared partition-route value, to a fresh analysis's
+// per-session evaluation: palettes of 1, 4 and 64 types with many
+// members each, cluster-committed members sharing (arrival, target)
+// with direct admits, seeded churn over several publishes, and an
+// epoch whose self-check adopts a fresh analysis.
+func TestBoundsForTypeShared(t *testing.T) {
+	for _, k := range []int{1, 4, 64} {
+		t.Run(fmt.Sprintf("palette%d", k), func(t *testing.T) {
+			reqs := typePalette(k)
+			const population = 320
+			used := 0.0
+			for j, req := range reqs {
+				g, err := admission.RequiredRate(req.Arrival, req.Target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				used += g * float64(population/len(reqs)+min(j, 1))
+			}
+			d := newTestDaemon(t, Config{Rate: used / 0.75, MaxEpochAge: time.Hour, MaxBatch: 1 << 30,
+				SelfCheckEvery: -1})
+			rng := rand.New(rand.NewSource(int64(k)))
+			var ids []uint64
+			tx := 0
+			step := func() {
+				req := reqs[rng.Intn(len(reqs))]
+				switch r := rng.Intn(8); {
+				case len(ids) > population || (r < 3 && len(ids) > 0):
+					x := rng.Intn(len(ids))
+					if ok, err := d.Release(ids[x]); err != nil || !ok {
+						t.Fatalf("release: ok=%v err=%v", ok, err)
+					}
+					ids[x] = ids[len(ids)-1]
+					ids = ids[:len(ids)-1]
+				case r == 3:
+					tx++
+					ids = append(ids, commitCluster(t, d, fmt.Sprintf("tx-%d", tx), req, req.Arrival.Rho))
+				default:
+					res, err := d.Admit(req)
+					if err != nil || !res.Admitted {
+						t.Fatalf("admit: %+v, %v", res, err)
+					}
+					ids = append(ids, res.ID)
+				}
+			}
+			for len(ids) < population {
+				step()
+			}
+			for publish := 0; publish < 6; publish++ {
+				for op := rng.Intn(60); op >= 0; op-- {
+					step()
+				}
+				ep := forceRebuild(t, d)
+				checkReadsAgainstFresh(t, d, ep)
+				checkEpochAgainstDirect(t, d, ep)
+			}
+			// A self-check that finds the epoch's analysis wrong adopts a
+			// fresh one: its reads must come from the fresh analysis too.
+			var adopted *Epoch
+			if err := d.exec(func() {
+				cur := d.epoch.Load()
+				wrong, err := gpsmath.AnalyzeServer(cur.Server, gpsmath.Options{Xi: gpsmath.XiOne, SlackFraction: 0.5})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				adopted = &Epoch{Seq: cur.Seq, Server: cur.Server, Analysis: wrong, IDs: cur.IDs,
+					Targets: cur.Targets, idsSorted: cur.idsSorted, posSorted: cur.posSorted}
+				d.countTargets(adopted)
+				d.selfCheck(adopted)
+			}); err != nil || adopted == nil {
+				t.Fatalf("self-check on the writer: %v", err)
+			}
+			if d.met.SelfCheckFailures.Load() != 1 {
+				t.Fatal("the self-check did not refuse the wrong analysis")
+			}
+			checkReadsAgainstFresh(t, d, adopted)
+		})
+	}
+}
+
+// TestBoundsForOrderingWins builds, through cluster commits at weights
+// that ignore the rates, a population of two-member types in which the
+// ordering route beats the type's shared partition-route value for one
+// member: every read must still equal a fresh analysis's per-session
+// best-of-routes value. gpsd's own weight rules (φ = required rate, or
+// φ = ρ) give the ordering route no win at the populations the other
+// tests build, so this is the case that checks BoundsFor's per-session
+// ordering-route step.
+func TestBoundsForOrderingWins(t *testing.T) {
+	rng := rand.New(rand.NewSource(233))
+	d := newTestDaemon(t, Config{Rate: 1, MaxEpochAge: time.Hour, MaxBatch: 1 << 30, SelfCheckEvery: -1})
+	const members = 2
+	types := 2 + rng.Intn(4)
+	load := 0.5 + 0.49*rng.Float64()
+	w, phi := make([]float64, types), make([]float64, types)
+	sumW, sumPhi := 0.0, 0.0
+	for k := range w {
+		w[k] = math.Exp(4 * (rng.Float64() - 0.5))
+		phi[k] = math.Exp(6 * (rng.Float64() - 0.5))
+		sumW += w[k]
+		sumPhi += phi[k]
+	}
+	var ids []uint64
+	reqs := make([]AdmitRequest, types)
+	for k := range reqs {
+		reqs[k] = AdmitRequest{Name: "weighted",
+			Arrival: ebb.Process{Rho: load * w[k] / sumW / members,
+				Lambda: math.Exp(4 * (rng.Float64() - 0.5)), Alpha: math.Exp(3 * (rng.Float64() - 0.5))},
+			Target: admission.Target{Delay: []float64{10, 100, 1000}[rng.Intn(3)], Eps: 1e-3}}
+		phi[k] *= 0.98 / sumPhi / members
+		for m := 0; m < members; m++ {
+			ids = append(ids, commitCluster(t, d, fmt.Sprintf("tx-%d-%d", k, m), reqs[k], phi[k]))
+		}
+	}
+	wins := 0
+	for round := 0; round < 3; round++ {
+		ep := forceRebuild(t, d)
+		checkReadsAgainstFresh(t, d, ep)
+		checkEpochAgainstDirect(t, d, ep)
+		an := ep.Analysis
+		for i := range ep.IDs {
+			dl := ep.Targets[i].Delay
+			if an.BestDelayTailValue(i, dl) < an.PartitionBound(i).DelayTail(dl) {
+				wins++
+			}
+		}
+		// Re-admit a released member: the pair trades ordering positions.
+		k := round % types
+		if ok, err := d.Release(ids[k*members]); err != nil || !ok {
+			t.Fatalf("release: ok=%v err=%v", ok, err)
+		}
+		ids[k*members] = commitCluster(t, d, fmt.Sprintf("tx-re-%d", round), reqs[k], phi[k])
+	}
+	if wins == 0 {
+		t.Fatal("the ordering route won for no session: the population no longer checks the per-session step")
 	}
 }

@@ -57,6 +57,11 @@ type Epoch struct {
 	// their declared target (the Analysis.AdmissionDecision predicate,
 	// evaluated per declared session type — see countTargets).
 	TargetsMet int
+	// tails[k] is the partition-route delay tail at its declared delay
+	// shared by every session of type k, one entry per type with
+	// members: the value each default-point read starts from (see
+	// BoundsFor).
+	tails map[typeKey]float64
 	// Guaranteed/Degraded/Infeasible is the ClassifyUnderRate
 	// revalidation of the published set at the nominal link rate. The
 	// admission invariant (weights = required rates, Σφ <= r) makes
@@ -145,7 +150,12 @@ func (d *Daemon) rebuild() error {
 func (d *Daemon) buildEpoch(seq uint64) (*Epoch, error) {
 	d.indexBatch()
 	if d.delta != nil {
-		if _, err := d.delta.Refresh(); err == nil {
+		before := d.delta.Stats()
+		_, err := d.delta.Refresh()
+		after := d.delta.Stats()
+		d.met.OrderRepairs.Add(int64(after.OrderRepairs - before.OrderRepairs))
+		d.met.OrderSorts.Add(int64(after.OrderSorts - before.OrderSorts))
+		if err == nil {
 			return d.finishEpoch(seq, true), nil
 		}
 		d.delta = nil
@@ -251,38 +261,35 @@ func (d *Daemon) finishEpoch(seq uint64, delta bool) *Epoch {
 	return ep
 }
 
-// countTargets computes Epoch.TargetsMet: the AdmissionDecision
-// predicate (partition-route delay bound at the declared target,
-// ordering route consulted only on a miss) evaluated once per declared
-// session type and publish instead of once per session. There is no
-// memo across publishes: a type's value moves with g and gEff, and both
-// move whenever Σφ or the shard capacity does, which under churn is
-// every publish. Sessions of one type share
-// every determinant of the partition-route bound — same arrival, same
-// φ, hence the same ρ/φ ratio, the same partition class, and the same
+// countTargets fills Epoch.tails and computes Epoch.TargetsMet: the
+// AdmissionDecision predicate (partition-route delay bound at the
+// declared target, ordering route consulted only on a miss) evaluated
+// once per declared session type and publish instead of once per
+// session. There is no memo across publishes: a type's value moves with
+// g and gEff, and both move whenever Σφ or the shard capacity does,
+// which under churn is every publish. Sessions of one type share every
+// determinant of the partition-route bound — same arrival, same φ,
+// hence the same ρ/φ ratio, the same partition class, and the same
 // ψ/gEff geometry — so the per-type value is bit-identical to the
-// per-session one (the regression test pins this against
-// AdmissionDecision under churn). Only a type whose partition bound
-// misses its target pays a per-member BestDelayTailFrom, which
-// evaluates the ordering route only where its floor cannot rule it out.
+// per-session one (the regression tests pin this against
+// AdmissionDecision and a fresh analysis under churn). Only a type
+// whose partition bound misses its target pays a per-member
+// BestDelayTailFrom, which evaluates the ordering route only where its
+// floor cannot rule it out. No type has a non-finite delay: admit and
+// prepare refuse one.
 func (d *Daemon) countTargets(ep *Epoch) {
 	an := ep.Analysis
 	if an == nil {
 		return
 	}
+	ep.tails = make(map[typeKey]float64, len(d.types))
 	for key, te := range d.types {
-		if te.count() == 0 {
-			continue
-		}
-		if math.IsInf(key.delay, 1) {
-			ep.TargetsMet += te.count()
-			continue
-		}
 		i, ok := ep.IndexOf(te.any())
 		if !ok {
 			continue
 		}
 		p := an.PartitionBound(i).DelayTail(key.delay)
+		ep.tails[key] = p
 		if p <= key.eps {
 			ep.TargetsMet += te.count()
 			continue
@@ -312,9 +319,6 @@ func (d *Daemon) countClassify(ep *Epoch) {
 		return
 	}
 	for _, te := range d.types {
-		if te.count() == 0 {
-			continue
-		}
 		i, ok := ep.IndexOf(te.any())
 		if !ok {
 			continue
@@ -425,7 +429,10 @@ type BoundsReport struct {
 // routes' G are the same expression over the same server. So the
 // achieved bound is evaluated once and reused for every point that
 // coincides with it bit for bit; only an explicit point that differs
-// pays its own evaluation.
+// pays its own evaluation. The achieved bound's partition-route half is
+// the session type's value, computed once per publish (Epoch.tails);
+// BestDelayTailFrom checks the ordering route against it per session,
+// so the result is BestDelayTailValue bit for bit.
 func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 	i, ok := ep.IndexOf(id)
 	if !ok || ep.Analysis == nil {
@@ -442,7 +449,12 @@ func (ep *Epoch) BoundsFor(id uint64, q, dly float64) (BoundsReport, bool) {
 	if q <= 0 {
 		q = b.G * dly
 	}
-	achieved := ep.Analysis.BestDelayTailValue(i, t.Delay)
+	s := &ep.Server.Sessions[i]
+	p, ok := ep.tails[sessionType(s.Arrival, s.Phi, t)]
+	if !ok {
+		p = b.DelayTail(t.Delay)
+	}
+	achieved := ep.Analysis.BestDelayTailFrom(i, t.Delay, p)
 	delayProb, backlogProb := achieved, achieved
 	if math.Float64bits(dly) != math.Float64bits(t.Delay) {
 		delayProb = ep.Analysis.BestDelayTailValue(i, dly)

@@ -32,6 +32,8 @@ type Metrics struct {
 	DeltaRebuilds     atomic.Int64 // epochs published by the incremental path
 	FullRebuilds      atomic.Int64 // epochs published by the from-scratch path
 	DeltaFallbacks    atomic.Int64 // delta attempts that fell back to a full rebuild
+	OrderRepairs      atomic.Int64 // analyzer refreshes whose ordering the insertion repair fixed
+	OrderSorts        atomic.Int64 // analyzer refreshes whose repair busted its budget and sorted
 	SelfChecks        atomic.Int64 // delta epochs compared against a from-scratch analysis
 	SelfCheckFailures atomic.Int64 // self-checks that found a difference (fresh adopted)
 
@@ -82,6 +84,8 @@ var counters = [...]struct {
 	{"gpsd_epoch_delta_rebuilds_total", "", "epochs published by the incremental path", func(m *Metrics) *atomic.Int64 { return &m.DeltaRebuilds }},
 	{"gpsd_epoch_full_rebuilds_total", "", "epochs published by the from-scratch path", func(m *Metrics) *atomic.Int64 { return &m.FullRebuilds }},
 	{"gpsd_epoch_delta_fallbacks_total", "", "delta attempts that fell back to a full rebuild", func(m *Metrics) *atomic.Int64 { return &m.DeltaFallbacks }},
+	{"gpsd_epoch_orderings_total", `how="repair"`, "analyzer refreshes by how they fixed the eq. (5) ordering: insertion repair, or the full-sort fallback", func(m *Metrics) *atomic.Int64 { return &m.OrderRepairs }},
+	{"gpsd_epoch_orderings_total", `how="sort"`, "", func(m *Metrics) *atomic.Int64 { return &m.OrderSorts }},
 	{"gpsd_epoch_selfchecks_total", "", "delta epochs compared against a from-scratch analysis", func(m *Metrics) *atomic.Int64 { return &m.SelfChecks }},
 	{"gpsd_epoch_selfcheck_failures_total", "", "self-checks that found a difference", func(m *Metrics) *atomic.Int64 { return &m.SelfCheckFailures }},
 	{"gpsd_rate_cache_hits_total", "", "required-rate memo hits", func(m *Metrics) *atomic.Int64 { return &m.CacheHits }},

@@ -231,11 +231,24 @@ type rateKey struct{ rho, lambda, alpha, delay, eps float64 }
 // grow it without limit.
 const rateCacheMax = 1 << 16
 
-// typeEntry tracks the admitted sessions sharing one declared
-// (arrival, target) tuple. Sessions of one type are indistinguishable
-// to the per-session theory — same φ (weights equal required rates,
-// a pure function of the tuple), same arrival, hence bit-identical
-// bounds — so epoch bookkeeping folds over types instead of sessions.
+// typeKey identifies a declared session type: its E.B.B. triple, its
+// GPS weight φ and its target. φ belongs to the key because two paths
+// reserve it: a direct admit reserves the required rate, a cluster
+// commit the coordinator's φ (= ρ), so one (arrival, target) can carry
+// two weights and two different bounds.
+type typeKey struct{ rho, lambda, alpha, phi, delay, eps float64 }
+
+// sessionType is the type key of a session with arrival arr, weight phi
+// and target tg.
+func sessionType(arr ebb.Process, phi float64, tg admission.Target) typeKey {
+	return typeKey{arr.Rho, arr.Lambda, arr.Alpha, phi, tg.Delay, tg.Eps}
+}
+
+// typeEntry tracks the admitted sessions of one type. Sessions of one
+// type are indistinguishable to the per-session theory — same arrival,
+// same φ, hence the same ρ/φ ratio, the same partition class and
+// bit-identical bounds — so epoch bookkeeping folds over types instead
+// of sessions.
 type typeEntry struct {
 	// recs holds the member records, swap-remove maintained via each
 	// record's typePos back-pointer: membership updates are O(1) slice
@@ -255,15 +268,10 @@ func (te *typeEntry) any() uint64 {
 	return te.recs[0].ID
 }
 
-func typeKeyOf(rec *record) rateKey {
-	return rateKey{rec.Arrival.Rho, rec.Arrival.Lambda, rec.Arrival.Alpha,
-		rec.Target.Delay, rec.Target.Eps}
-}
-
 func (d *Daemon) typeAdd(rec *record) {
-	k := typeKeyOf(rec)
+	k := sessionType(rec.Arrival, rec.G, rec.Target)
 	// One-entry cache: admission bursts are overwhelmingly same-type,
-	// and a five-float compare beats hashing the 40-byte key.
+	// and a six-float compare beats hashing the 48-byte key.
 	te := d.lastType
 	if te == nil || d.lastTypeKey != k {
 		te = d.types[k]
@@ -292,7 +300,7 @@ func (d *Daemon) typeRemove(rec *record) {
 	te.recs = te.recs[:last]
 	rec.te = nil
 	if last == 0 {
-		delete(d.types, typeKeyOf(rec))
+		delete(d.types, sessionType(rec.Arrival, rec.G, rec.Target))
 		if d.lastType == te {
 			d.lastType = nil
 		}
@@ -371,8 +379,8 @@ type Daemon struct {
 	// admitted since, so touched and that tail are all a publish reads.
 	touched     []*record
 	idxLow      int
-	types       map[rateKey]*typeEntry
-	lastTypeKey rateKey
+	types       map[typeKey]*typeEntry
+	lastTypeKey typeKey
 	lastType    *typeEntry
 	deltaBuilds int // delta-built epochs, drives the self-check cadence
 	// retired lists the superseded epochs a reader still pinned at the
@@ -427,7 +435,7 @@ func newDaemon(cfg Config, slot shardSlot, st *wal.State) (*Daemon, error) {
 		ops:        make(chan op, cfg.QueueDepth),
 		stopped:    make(chan struct{}),
 		sessions:   make(map[uint64]*record),
-		types:      make(map[rateKey]*typeEntry),
+		types:      make(map[typeKey]*typeEntry),
 		resolvedTx: make(map[string]resolvedTxRec),
 		clusterTx:  make(map[uint64]clusterTxRec),
 		capacity:   slot.capacity,

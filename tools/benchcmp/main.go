@@ -51,6 +51,7 @@ var hotPaths = []string{
 	"EpochDelta/sessions-1000000",
 	"EpochBatch/palette4/sessions-10000/ops-1800",
 	"EpochBatch/palette64/sessions-25000/ops-17",
+	"EpochBatch/palette64/sessions-25000/ops-90",
 	"EpochBatch/palette1/sessions-131072/ops-3",
 	"FluidSim",
 	"NetSim",
