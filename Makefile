@@ -121,9 +121,15 @@ benchcheck:
 # recomputations, with a refused publish visible. Superseded epochs are
 # recycled only once no reader pins them: pinned and escaped epochs must
 # never change while the writer refills their successors' arrays, and a
-# steady publish allocates no per-session array.
+# steady publish allocates no per-session array. Both paths settle the
+# decomposed rates with one exact Σr <= r test: a 25,000-session daemon
+# must keep publishing and boot from its own WAL, and the feasibility
+# matrix holds the rates to a math/big sum over 315 gpsd-shaped
+# populations. The matrix runs on one goroutine, so it runs without
+# -race, which finds nothing there and multiplies its ~12 s eightfold.
 deltacheck:
-	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeFold|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor|TestEpochReclaim' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -race -run 'TestDeltaAnalyzer|TestDeltaChurnLong|TestDeltaBatch|TestDeltaEpoch|TestTypeFold|TestPerOpDelta|TestSelfCheck|TestIndexBatches|TestFailedPublish|FuzzDeltaAnalyzer|TestFloor|TestLemma6Floor|TestBoundsFor|TestEpochReclaim|TestRestartBootsOversumPopulation|TestLivePublishOversumPopulation' ./internal/gpsmath ./internal/server
+	GOFLAGS=-count=1 $(GO) test -run 'TestFeasibilityMatrix|TestExcessMatchesExactSum' ./internal/gpsmath
 
 # shardcheck is the sharded-writer differential gate, uncached and
 # race-enabled: the capacity ledger's budget invariant, concurrent

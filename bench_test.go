@@ -698,14 +698,11 @@ func BenchmarkYaronSidiAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	srv := gpsmath.NewRPPSServer(1, chars, nil)
-	rates, err := srv.DecomposedRates(gpsmath.SplitEqual, 1)
+	an, err := gpsmath.AnalyzeServer(srv, gpsmath.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	ord, err := srv.FeasibleOrdering(rates)
-	if err != nil {
-		b.Fatal(err)
-	}
+	rates, ord := an.Rates, an.Ordering
 	var ys []*gpsmath.SessionBounds
 	for i := 0; i < b.N; i++ {
 		ys, err = srv.YaronSidiBounds(ord, rates, 0, gpsmath.XiOne)

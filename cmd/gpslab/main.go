@@ -514,14 +514,11 @@ func ys() error {
 		return err
 	}
 	srv := gpsmath.NewRPPSServer(1, chars, paper.SessionNames)
-	rates, err := srv.DecomposedRates(gpsmath.SplitEqual, 1)
+	an, err := gpsmath.AnalyzeServer(srv, gpsmath.Options{})
 	if err != nil {
 		return err
 	}
-	ord, err := srv.FeasibleOrdering(rates)
-	if err != nil {
-		return err
-	}
+	rates, ord := an.Rates, an.Ordering
 	rec, err := srv.YaronSidiBounds(ord, rates, 0, gpsmath.XiOne)
 	if err != nil {
 		return err

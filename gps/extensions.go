@@ -212,11 +212,11 @@ func FeasiblePartitionOf(srv Server) (Partition, error) {
 	return srv.FeasiblePartition()
 }
 
-// DecomposedRates distributes the server's rate slack as ε_i over the
-// sessions, returning the dedicated rates r_i = ρ_i + ε_i of the paper's
-// §3 decomposition.
-func DecomposedRates(srv Server, split EpsilonSplit, frac float64) ([]float64, error) {
-	return srv.DecomposedRates(split, frac)
+// DecomposedRates distributes the server's rate slack equally over the
+// sessions, returning the dedicated rates r_i = ρ_i + ε of the paper's
+// §3 decomposition, which sum to at most the server rate exactly.
+func DecomposedRates(srv Server) ([]float64, error) {
+	return srv.DecomposedRates()
 }
 
 // FeasibleOrdering returns a session ordering satisfying paper eq. (5)

@@ -223,7 +223,7 @@ func TestLowLevelHelpers(t *testing.T) {
 	if part.L() != 1 {
 		t.Errorf("partition classes = %d", part.L())
 	}
-	rates, err := DecomposedRates(srv, SplitEqual, 1)
+	rates, err := DecomposedRates(srv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,16 +134,10 @@ type Options = gpsmath.Options
 // XiMode selects the discretization handling in the Lemma 6 bounds.
 type XiMode = gpsmath.XiMode
 
-// EpsilonSplit selects how rate slack is distributed among sessions.
-type EpsilonSplit = gpsmath.EpsilonSplit
-
 // Re-exported option constants.
 const (
-	XiOne             = gpsmath.XiOne
-	XiOptimal         = gpsmath.XiOptimal
-	SplitEqual        = gpsmath.SplitEqual
-	SplitProportional = gpsmath.SplitProportional
-	SplitByPhi        = gpsmath.SplitByPhi
+	XiOne     = gpsmath.XiOne
+	XiOptimal = gpsmath.XiOptimal
 )
 
 // Analyze validates a server and computes per-session backlog/delay tail

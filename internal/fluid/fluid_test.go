@@ -192,6 +192,17 @@ func TestGPSGuaranteeEq1(t *testing.T) {
 	}
 }
 
+// innerRates returns decomposed rates r_i = ρ_i + ε that hand out 0.999
+// of the slack, so the decomposed system keeps a margin below the link.
+func innerRates(srv gpsmath.Server) []float64 {
+	share := srv.Slack() * 0.999 / float64(len(srv.Sessions))
+	rates := make([]float64, len(srv.Sessions))
+	for i, s := range srv.Sessions {
+		rates[i] = s.Arrival.Rho + share
+	}
+	return rates
+}
+
 // simForLemmas builds the paper's Set-1 RPPS server with the decomposed
 // system enabled, running the Table 1 on-off sources.
 func simForLemmas(t *testing.T, slots int) (*Sim, gpsmath.Server, []int, []float64) {
@@ -203,10 +214,7 @@ func simForLemmas(t *testing.T, slots int) (*Sim, gpsmath.Server, []int, []float
 		{Rho: 0.25, Lambda: 1.0, Alpha: 1.62},
 	}
 	srv := gpsmath.NewRPPSServer(1, arrivals, nil)
-	rates, err := srv.DecomposedRates(gpsmath.SplitEqual, 0.999)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rates := innerRates(srv)
 	ord, err := srv.FeasibleOrdering(rates)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +281,7 @@ func TestLemma3OnSamplePaths(t *testing.T) {
 		{Rho: 0.25, Lambda: 1.0, Alpha: 1.62},
 	}
 	srv := gpsmath.NewRPPSServer(1, arrivals, nil)
-	rates, _ := srv.DecomposedRates(gpsmath.SplitEqual, 0.999)
+	rates := innerRates(srv)
 	ord, _ := srv.FeasibleOrdering(rates)
 	phi := make([]float64, 4)
 	totalPhi := 0.0

@@ -15,13 +15,6 @@ type Options struct {
 	Independent bool
 	// Xi selects the ξ handling inside the Lemma 6 terms.
 	Xi XiMode
-	// Split selects how slack is distributed when a global feasible
-	// ordering is needed (Theorem 7/8 paths).
-	Split EpsilonSplit
-	// SlackFraction in (0, 1] scales down the distributed slack to keep
-	// the feasible-ordering inequalities strictly satisfiable; the default
-	// 0 means 1 (use all slack).
-	SlackFraction float64
 }
 
 // Analysis is the full single-node result: the feasible partition, the
@@ -51,7 +44,7 @@ type Analysis struct {
 }
 
 // AnalyzeServer validates the server, derives its feasible partition
-// (eqs. 37–39) and its feasible ordering with the eq. (5) check, and
+// (eqs. 37–39) and its feasible ordering with the eq. (5) test, and
 // returns the analysis from which PartitionBound and OrderingBound build
 // every per-session bound the paper's single-node theory offers under
 // the given options. It is the one verified constructor: the
@@ -60,22 +53,15 @@ func AnalyzeServer(srv Server, opts Options) (*Analysis, error) {
 	if err := srv.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.SlackFraction == 0 {
-		opts.SlackFraction = 1
-	}
 	part, err := srv.FeasiblePartition()
 	if err != nil {
 		return nil, err
 	}
-	rates, err := srv.DecomposedRates(opts.Split, opts.SlackFraction)
+	rates, err := srv.DecomposedRates()
 	if err != nil {
 		return nil, err
 	}
-	ord, err := srv.FeasibleOrdering(rates)
-	if err != nil {
-		return nil, err
-	}
-	g := &generation{rates: rates, ord: ord}
+	g := &generation{rates: rates, ord: srv.greedyOrder(rates)}
 	g.pm.addPartition(srv, part)
 	return newAnalysis(srv, opts, srv.TotalPhi(), part, g)
 }

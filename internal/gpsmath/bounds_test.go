@@ -20,7 +20,7 @@ func set1Server(t *testing.T) Server {
 // Theorem 7 with ξ = 1 must reproduce eq. (26) literally.
 func TestTheorem7MatchesEq26(t *testing.T) {
 	srv := set1Server(t)
-	rates, err := srv.DecomposedRates(SplitEqual, 1)
+	rates, err := srv.DecomposedRates()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestTheorem7MatchesEq26(t *testing.T) {
 
 func TestTheorem7XiOptimalNeverWorse(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	for pos := range ord {
 		one, _ := srv.Theorem7(ord, rates, pos, XiOne)
@@ -90,7 +90,7 @@ func TestTheorem7FirstPositionIgnoresOthers(t *testing.T) {
 	// The first session of a feasible ordering sees no cross terms: its
 	// prefactor must equal the bare Lemma 6 bound for its own queue.
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	sb, _ := srv.Theorem7(ord, rates, 0, XiOne)
 	i := ord[0]
@@ -104,7 +104,7 @@ func TestTheorem7FirstPositionIgnoresOthers(t *testing.T) {
 
 func TestTheorem7Errors(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	if _, err := srv.Theorem7(ord, rates, -1, XiOne); err == nil {
 		t.Error("negative position: want error")
@@ -116,7 +116,7 @@ func TestTheorem7Errors(t *testing.T) {
 
 func TestBacklogTailProperties(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	sb, _ := srv.Theorem7(ord, rates, len(ord)-1, XiOptimal)
 
@@ -162,7 +162,7 @@ func TestBacklogQuantileInvertsBound(t *testing.T) {
 
 func TestTheorem8NotLooserThanPaperEq36(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	for pos := 1; pos < len(ord); pos++ {
 		alphas := make([]float64, 0, pos+1)
@@ -191,7 +191,7 @@ func TestTheorem8NotLooserThanPaperEq36(t *testing.T) {
 
 func TestTheorem8FirstPositionEqualsTheorem7(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	t7, _ := srv.Theorem7(ord, rates, 0, XiOne)
 	t8, err := srv.Theorem8(ord, rates, 0, nil, XiOne)
@@ -213,7 +213,7 @@ func TestTheorem8HolderCeilingBelowTheorem7(t *testing.T) {
 	// Dependence costs decay rate: the Hölder θ ceiling must be below the
 	// independent one for positions past the first.
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	pos := len(ord) - 1
 	t7, _ := srv.Theorem7(ord, rates, pos, XiOne)
@@ -225,7 +225,7 @@ func TestTheorem8HolderCeilingBelowTheorem7(t *testing.T) {
 
 func TestTheorem8BadExponents(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	if _, err := srv.Theorem8(ord, rates, 1, []float64{2}, XiOne); err == nil {
 		t.Error("wrong exponent count: want error")

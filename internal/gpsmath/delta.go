@@ -43,13 +43,12 @@ import (
 // once per batch however many ops it holds. They are fused: one
 // index-order fold of Σρ and Σφ (the folds TotalRho and TotalPhi take,
 // computed once and shared by the slack, the partition and both memos),
-// one pass that fills the rates, the ordering ratios and the first
-// partition round, the feasibility test's index-order sweep, and the
-// ordering memo's two passes, which also fill the inverse permutation.
-// What the delta path eliminates is everything superlinear or
-// heavyweight: the O(N log N) sorts (the ordering repaired in
-// O(N + moves), the partition scanned over the maintained ρ/φ ratios)
-// and the eq. (5) verification pass.
+// one pass that fills the rates (folding them for eq. (5)'s Σr_i <= r
+// test), the ordering ratios and the first partition round, the
+// constructibility test's index-order sweep, and the ordering memo's
+// two passes, which also fill the inverse permutation. The delta path
+// eliminates the O(N log N) sorts: the ordering is repaired in
+// O(N + moves), the partition scanned over the maintained ρ/φ ratios.
 //
 // Nor does a steady refresh allocate. Its arrays live in generations
 // the owner hands back through Recycle once no reader can see them, and
@@ -133,9 +132,6 @@ type DeltaAnalyzer struct {
 // AnalyzeServer. An empty session slice is permitted — Analysis returns
 // nil until a refresh over a nonempty population.
 func NewDeltaAnalyzer(srv Server, opts Options) (*DeltaAnalyzer, error) {
-	if opts.SlackFraction == 0 {
-		opts.SlackFraction = 1
-	}
 	if !(srv.Rate > 0) || math.IsInf(srv.Rate, 1) || math.IsNaN(srv.Rate) {
 		return nil, fmt.Errorf("%w: server rate = %v, want positive finite", ErrInvalidInput, srv.Rate)
 	}
@@ -442,13 +438,11 @@ func (d *DeltaAnalyzer) seed(ord []int, ratio []float64) {
 // filling a recycled generation: the ratios are refreshed first, and the
 // seed built from them becomes the ordering in place.
 //
-// The repair path skips the eq. (5) verification: the greedy min r/φ
-// order satisfies eq. (5) whenever Σr_i <= r (paper §3), and the slack
-// split guarantees exactly that by construction — it refuses with
-// ErrOverloaded before producing rates otherwise. The daemon's periodic
-// self-check re-runs the verified constructor against the same
-// population, so a violation could not persist silently even if the
-// rates were somehow inconsistent.
+// The greedy order satisfies eq. (5) exactly when Σr_i <= r
+// (FeasibleOrdering), and the rate pass settles that sum as
+// AnalyzeServer does (slackSplit.settle), so the daemon's periodic
+// self-check, which re-runs AnalyzeServer over the same population,
+// finds a difference only where there is a bug.
 //
 // The partition is the reference round algorithm — scan all unplaced
 // sessions in index order against the round threshold — whose
@@ -467,7 +461,7 @@ func (d *DeltaAnalyzer) refresh() error {
 		totRho += d.sess[i].Arrival.Rho
 		totPhi += d.sess[i].Phi
 	}
-	sp, err := newSlackSplit(d.opts.Split, d.opts.SlackFraction, d.rate, n, totRho, totPhi)
+	sp, err := newSlackSplit(d.rate, n, totRho)
 	if err != nil {
 		return err
 	}
@@ -483,9 +477,11 @@ func (d *DeltaAnalyzer) refresh() error {
 	placedRho, remPhi := 0.0, totPhi
 	threshold := (d.rate - placedRho) / remPhi
 	pm.openClass()
+	sum := rateSum{s: -d.rate}
 	for i := range d.sess {
 		s := &d.sess[i]
-		r := sp.rate(s)
+		var r float64
+		r, sum = sp.rate(s, sum)
 		rates[i] = r
 		ratio[i] = r / s.Phi
 		if d.pRatio[i] < threshold {
@@ -497,6 +493,10 @@ func (d *DeltaAnalyzer) refresh() error {
 		} else {
 			classOf[i] = -1
 		}
+	}
+	if err := sp.settle(sum, d.sess, rates, ratio); err != nil {
+		d.putGen(g)
+		return err
 	}
 	d.seed(g.ord, ratio)
 	if repairOrder(g.ord, ratio) {

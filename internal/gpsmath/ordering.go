@@ -4,100 +4,137 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
-// EpsilonSplit selects how the rate slack r - Σρ is distributed among the
-// sessions as ε_i when forming the dedicated rates r_i = ρ_i + ε_i of the
-// decomposed system (paper §3).
-type EpsilonSplit int
-
-const (
-	// SplitEqual gives every session ε_i = slack/N.
-	SplitEqual EpsilonSplit = iota
-	// SplitProportional gives ε_i = slack·ρ_i/Σρ_j, preserving the
-	// relative loading of the sessions.
-	SplitProportional
-	// SplitByPhi gives ε_i = slack·φ_i/Σφ_j, mirroring the GPS weights.
-	SplitByPhi
-)
-
-// String implements fmt.Stringer.
-func (e EpsilonSplit) String() string {
-	switch e {
-	case SplitEqual:
-		return "equal"
-	case SplitProportional:
-		return "proportional"
-	case SplitByPhi:
-		return "by-phi"
-	default:
-		return fmt.Sprintf("EpsilonSplit(%d)", int(e))
-	}
-}
-
-// DecomposedRates returns r_i = ρ_i + ε_i with the slack distributed
-// according to split, scaled by frac in (0, 1] of the available slack
-// (using slightly less than the full slack keeps strict inequalities
-// strict in the presence of rounding).
-func (s Server) DecomposedRates(split EpsilonSplit, frac float64) ([]float64, error) {
-	totRho, totPhi := s.TotalRho(), 0.0
-	if split == SplitByPhi {
-		totPhi = s.TotalPhi()
-	}
-	sp, err := newSlackSplit(split, frac, s.Rate, len(s.Sessions), totRho, totPhi)
+// DecomposedRates returns the dedicated rates r_i = ρ_i + ε of the
+// decomposed system (paper §3), every session taking the same share
+// ε = (r - Σρ)/N of the slack, lowered only where those float64 rates
+// would sum past r: Σr_i <= r holds exactly, so the greedy r_i/φ_i
+// order satisfies eq. (5) (FeasibleOrdering).
+func (s Server) DecomposedRates() ([]float64, error) {
+	sp, err := newSlackSplit(s.Rate, len(s.Sessions), s.TotalRho())
 	if err != nil {
 		return nil, err
 	}
 	rates := make([]float64, len(s.Sessions))
+	sum := rateSum{s: -s.Rate}
 	for i := range s.Sessions {
-		rates[i] = sp.rate(&s.Sessions[i])
+		rates[i], sum = sp.rate(&s.Sessions[i], sum)
+	}
+	if err := sp.settle(sum, s.Sessions, rates, nil); err != nil {
+		return nil, err
 	}
 	return rates, nil
 }
 
-// slackSplit is one population's slack distribution: DecomposedRates
-// and the DeltaAnalyzer's fused refresh pass both take every r_i from
-// its rate method, so both produce the same bits.
+// slackSplit is one population's slack split: DecomposedRates and the
+// DeltaAnalyzer's fused refresh pass both take every r_i from its rate
+// method and settle the sum, so both produce the same bits.
 type slackSplit struct {
-	split          EpsilonSplit
-	slack, share   float64 // share = slack/N, the SplitEqual ε
-	totRho, totPhi float64
+	link  float64 // the server rate r
+	share float64 // ε, the slack every session gets
 }
 
-// newSlackSplit checks frac and the stability condition, in that order,
-// from the population's Σρ (and Σφ under SplitByPhi), each the
-// left-to-right fold of TotalRho and TotalPhi.
-func newSlackSplit(split EpsilonSplit, frac, rate float64, n int, totRho, totPhi float64) (slackSplit, error) {
+// newSlackSplit checks the stability condition from the population's
+// Σρ, the left-to-right fold of TotalRho, and starts ε at (r - Σρ)/N.
+func newSlackSplit(rate float64, n int, totRho float64) (slackSplit, error) {
+	slack := rate - totRho
 	// The negated form catches NaN, which satisfies neither comparison.
-	if !(frac > 0 && frac <= 1) {
-		return slackSplit{}, fmt.Errorf("%w: slack fraction = %v, want in (0,1]", ErrInvalidInput, frac)
-	}
-	slack := (rate - totRho) * frac
-	if slack <= 0 {
+	if !(slack > 0) {
 		return slackSplit{}, ErrOverloaded
 	}
-	if split != SplitEqual && split != SplitProportional && split != SplitByPhi {
-		return slackSplit{}, fmt.Errorf("gpsmath: unknown epsilon split %v", split)
-	}
-	return slackSplit{split: split, slack: slack, share: slack / float64(n), totRho: totRho, totPhi: totPhi}, nil
+	return slackSplit{link: rate, share: slack / float64(n)}, nil
 }
 
-// rate is the decomposed rate r = ρ + ε of one session.
-func (sp *slackSplit) rate(s *Session) float64 {
-	switch sp.split {
-	case SplitEqual:
-		return s.Arrival.Rho + sp.share
-	case SplitProportional:
-		return s.Arrival.Rho + sp.slack*s.Arrival.Rho/sp.totRho
-	default:
-		return s.Arrival.Rho + sp.slack*s.Phi/sp.totPhi
+// rate is the decomposed rate r = ρ + ε of one session, and sum with r
+// folded in. Values, not pointers, keep the fold in registers.
+func (sp slackSplit) rate(s *Session, sum rateSum) (float64, rateSum) {
+	r := s.Arrival.Rho + sp.share
+	return r, sum.plus(r)
+}
+
+// settle tests the rates the split handed out for sessions, folded
+// into sum, against the link. Where they sum past it (the Σρ fold
+// rounded low), it lowers ε by the excess over N plus two ulps of 2r,
+// which no rate reaches, so one refill of rates (and of the ordering
+// ratios, if ratio is non-nil) fits (DESIGN §8). A share no longer
+// positive means no slack: refused.
+func (sp *slackSplit) settle(sum rateSum, sessions []Session, rates, ratio []float64) error {
+	for {
+		excess := sum.excess(rates, sp.link)
+		if excess == 0 {
+			return nil
+		}
+		sp.share -= excess/float64(len(rates)) + 2*(math.Nextafter(2*sp.link, math.Inf(1))-2*sp.link)
+		if !(sp.share > 0) {
+			return ErrOverloaded
+		}
+		sum = rateSum{s: -sp.link}
+		for i := range sessions {
+			rates[i], sum = sp.rate(&sessions[i], sum)
+			if ratio != nil {
+				ratio[i] = rates[i] / sessions[i].Phi
+			}
+		}
 	}
 }
 
-// ErrNoFeasibleOrdering is returned when no ordering satisfies eq. (5);
-// with Σr_i <= r this cannot happen, so seeing it indicates inconsistent
-// inputs.
+// rateSum folds -r and then a population's rates with Sum2 (Ogita, Rump
+// and Oishi): a running float sum s, and the exact rounding error of
+// each addition (Knuth's TwoSum) folded into c.
+type rateSum struct{ s, c float64 }
+
+func (x rateSum) plus(v float64) rateSum {
+	t := x.s + v
+	z := t - x.s
+	return rateSum{t, x.c + (x.s - (t - z)) + (v - z)}
+}
+
+// excess returns by how much the rates folded into x exceed r: 0
+// exactly when Σrates <= r, else the excess, rounded or overestimated
+// by at most the error bound (DESIGN §8). Inside it |T| <= 2·bound, and
+// T is a multiple of the smallest summand's last bit 2^(lo-53): where
+// that bit is wider, T is 0, and otherwise an exact sum decides.
+func (x rateSum) excess(rates []float64, r float64) float64 {
+	const u = 0x1p-53
+	d := x.s + x.c
+	n := float64(len(rates) + 1)
+	bound := 4*n*n*u*u*(r+math.Abs(d)) + 2*u*math.Abs(d)
+	switch {
+	case d > bound:
+		return d + bound
+	case d < -bound:
+		return 0
+	}
+	_, lo := math.Frexp(min(r, slices.Min(rates)))
+	if 2*bound < math.Ldexp(1, lo-53) {
+		return 0
+	}
+	return exactExcess(rates, r, lo)
+}
+
+// exactExcess returns Σrates - r, summed without rounding, as a float64
+// when positive and 0 when the sum is at most r. For rates summing to
+// under 2r, every partial sum lies below 2r, and a significand from
+// there down to the last bit of the smallest summand (exponent lo) holds
+// it exactly.
+func exactExcess(rates []float64, r float64, lo int) float64 {
+	_, hi := math.Frexp(r)
+	sum := new(big.Float).SetPrec(uint(hi-lo+64) + uint(bits.Len(uint(len(rates))))).SetFloat64(-r)
+	var x big.Float
+	for _, v := range rates {
+		sum.Add(sum, x.SetFloat64(v))
+	}
+	e, _ := sum.Float64()
+	return max(e, 0)
+}
+
+// ErrNoFeasibleOrdering is returned by FeasibleOrdering exactly when
+// the rates sum past the server rate.
 var ErrNoFeasibleOrdering = errors.New("gpsmath: no feasible ordering exists")
 
 // FeasibleOrdering returns a permutation ord of the sessions such that,
@@ -105,64 +142,43 @@ var ErrNoFeasibleOrdering = errors.New("gpsmath: no feasible ordering exists")
 //
 //	r_{ord[k]} <= φ_{ord[k]} / Σ_{j>=k} φ_{ord[j]} · (r - Σ_{j<k} r_{ord[j]}).
 //
-// It uses the greedy rule of picking, at each step, the remaining session
-// with the smallest r_i/φ_i; if that session violates the inequality no
-// feasible ordering exists.
+// It is the greedy order of increasing r_i/φ_i, which satisfies eq. (5)
+// at every position if and only if Σr_i <= r (DESIGN §8 has the proof),
+// so the verification is that one inequality, tested exactly.
 func (s Server) FeasibleOrdering(rates []float64) ([]int, error) {
 	n := len(s.Sessions)
 	if len(rates) != n {
 		return nil, fmt.Errorf("%w: %d rates for %d sessions", ErrInvalidInput, len(rates), n)
 	}
+	if !(s.Rate > 0) || math.IsInf(s.Rate, 1) {
+		return nil, fmt.Errorf("%w: server rate = %v, want positive finite", ErrInvalidInput, s.Rate)
+	}
+	sum := rateSum{s: -s.Rate}
 	for i, r := range rates {
-		// NaN would both scramble the sort and slip past the eq. (5)
-		// check below (every comparison with NaN is false).
+		// NaN would scramble the sort and the sum alike.
 		if !(r > 0) || math.IsInf(r, 1) || math.IsNaN(r) {
 			return nil, fmt.Errorf("%w: rate[%d] = %v, want positive finite", ErrInvalidInput, i, r)
 		}
+		sum = sum.plus(r)
 	}
-	// Precompute r_i/φ_i once: a closure comparator would otherwise redo
-	// two divisions per comparison (O(n log n) of them). The concrete
-	// sort.Interface type sidesteps sort.Slice's reflection-based swapper.
-	ratio := make([]float64, n)
-	idx := make([]int, n)
+	if excess := sum.excess(rates, s.Rate); excess > 0 {
+		return nil, fmt.Errorf("%w: the rates sum past the server rate %v by %v",
+			ErrNoFeasibleOrdering, s.Rate, excess)
+	}
+	return s.greedyOrder(rates), nil
+}
+
+// greedyOrder sorts the session indices by (r_i/φ_i, index), over
+// ratios divided once rather than in every comparison.
+func (s Server) greedyOrder(rates []float64) []int {
+	ratio := make([]float64, len(rates))
+	idx := make([]int, len(rates))
 	for i := range idx {
 		idx[i] = i
 		ratio[i] = rates[i] / s.Sessions[i].Phi
 	}
 	sort.Sort(ratioOrder{idx: idx, ratio: ratio})
-	// Verify eq. (5) along the sorted order. At large N this check is
-	// numerically delicate: with the full slack distributed (frac = 1 in
-	// DecomposedRates) the last position satisfies eq. (5) with exact
-	// equality, and near-equal ratios make earlier positions almost tight
-	// too, so the margin can sit below the rounding error of the running
-	// sums. Suffix φ sums (fresh backward accumulation, no cancellation
-	// from repeated subtraction) and a Neumaier-compensated Σr keep the
-	// sums themselves at O(ulp) error, and the tolerance is relative at
-	// 1e-9 — wide enough to absorb the O(n·ulp) error already baked into
-	// the rates by DecomposedRates at n ~ 10^5, narrow enough to reject
-	// genuinely infeasible inputs (callers derive rates from Σρ < r, for
-	// which eq. (5) holds exactly).
-	tailPhi := make([]float64, n+1)
-	for k := n - 1; k >= 0; k-- {
-		tailPhi[k] = tailPhi[k+1] + s.Sessions[idx[k]].Phi
-	}
-	used, usedComp := 0.0, 0.0
-	const tol = 1e-9
-	for k, i := range idx {
-		limit := s.Sessions[i].Phi / tailPhi[k] * (s.Rate - (used + usedComp))
-		if rates[i] > limit+tol*math.Abs(limit) {
-			return nil, fmt.Errorf("%w: session %d needs rate %v > limit %v",
-				ErrNoFeasibleOrdering, i, rates[i], limit)
-		}
-		t := used + rates[i]
-		if math.Abs(used) >= math.Abs(rates[i]) {
-			usedComp += (used - t) + rates[i]
-		} else {
-			usedComp += (rates[i] - t) + used
-		}
-		used = t
-	}
-	return idx, nil
+	return idx
 }
 
 // ratioOrder sorts a session index permutation by precomputed r_i/φ_i,

@@ -77,13 +77,12 @@ func TestFeasiblePartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: a feasible ordering always exists for DecomposedRates under
-// every split strategy, and satisfies eq. (5).
+// Property: a feasible ordering always exists for DecomposedRates, and
+// satisfies eq. (5).
 func TestFeasibleOrderingProperty(t *testing.T) {
-	prop := func(a, b, c uint8, splitSel uint8) bool {
+	prop := func(a, b, c uint8) bool {
 		srv := randomServer(a, b, c)
-		split := []EpsilonSplit{SplitEqual, SplitProportional, SplitByPhi}[splitSel%3]
-		rates, err := srv.DecomposedRates(split, 0.999)
+		rates, err := srv.DecomposedRates()
 		if err != nil {
 			return false
 		}

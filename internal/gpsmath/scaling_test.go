@@ -119,7 +119,7 @@ func TestOrderingBoundsMatchReference(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 9, 16, 33, 64} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			srv := scalingServer(n, seed*104729+uint64(n))
-			rates, err := srv.DecomposedRates(SplitEqual, 1)
+			rates, err := srv.DecomposedRates()
 			if err != nil {
 				t.Fatalf("n=%d: DecomposedRates: %v", n, err)
 			}
@@ -253,7 +253,7 @@ func TestAnalyzeServerLargeN(t *testing.T) {
 func TestFeasibleOrderingTightSlack(t *testing.T) {
 	for _, n := range []int{64, 1024, 8192} {
 		srv := scalingServer(n, uint64(n)*13)
-		rates, err := srv.DecomposedRates(SplitEqual, 1)
+		rates, err := srv.DecomposedRates()
 		if err != nil {
 			t.Fatalf("n=%d: DecomposedRates: %v", n, err)
 		}

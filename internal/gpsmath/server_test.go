@@ -2,10 +2,13 @@ package gpsmath
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/ebb"
+	"repro/internal/source"
 )
 
 // paperSet1 is Table 2, Set 1 of the paper: the four on-off sessions'
@@ -118,46 +121,31 @@ func TestTotals(t *testing.T) {
 
 func TestDecomposedRates(t *testing.T) {
 	srv := NewRPPSServer(1, paperSet1(), nil)
-	for _, split := range []EpsilonSplit{SplitEqual, SplitProportional, SplitByPhi} {
-		rates, err := srv.DecomposedRates(split, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", split, err)
+	rates, err := srv.DecomposedRates()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for i, r := range rates {
+		if r <= srv.Sessions[i].Arrival.Rho {
+			t.Errorf("rate[%d] = %v <= rho", i, r)
 		}
-		sum := 0.0
-		for i, r := range rates {
-			if r <= srv.Sessions[i].Arrival.Rho {
-				t.Errorf("%v: rate[%d] = %v <= rho", split, i, r)
-			}
-			sum += r
+		sum += r
+	}
+	if sum > srv.Rate+1e-12 {
+		t.Errorf("sum rates = %v > server rate", sum)
+	}
+	// Every session gets the same share of the slack.
+	share := rates[0] - srv.Sessions[0].Arrival.Rho
+	for i, r := range rates {
+		if e := r - srv.Sessions[i].Arrival.Rho; math.Abs(e-share) > 1e-15 {
+			t.Errorf("rate[%d] carries eps %v, session 0 %v", i, e, share)
 		}
-		if sum > srv.Rate+1e-12 {
-			t.Errorf("%v: sum rates = %v > server rate", split, sum)
-		}
 	}
-	// Proportional split preserves rho ratios of the epsilons.
-	rates, _ := srv.DecomposedRates(SplitProportional, 1)
-	e0 := rates[0] - 0.2
-	e1 := rates[1] - 0.25
-	if math.Abs(e0/e1-0.2/0.25) > 1e-9 {
-		t.Errorf("proportional eps ratio = %v, want %v", e0/e1, 0.2/0.25)
-	}
-	if _, err := srv.DecomposedRates(SplitEqual, 0); err == nil {
-		t.Error("frac = 0: want error")
-	}
-	if _, err := srv.DecomposedRates(SplitEqual, 1.5); err == nil {
-		t.Error("frac > 1: want error")
-	}
-	if _, err := srv.DecomposedRates(EpsilonSplit(99), 1); err == nil {
-		t.Error("unknown split: want error")
-	}
-}
-
-func TestEpsilonSplitString(t *testing.T) {
-	if SplitEqual.String() != "equal" || SplitProportional.String() != "proportional" || SplitByPhi.String() != "by-phi" {
-		t.Error("EpsilonSplit String mismatch")
-	}
-	if EpsilonSplit(42).String() == "" {
-		t.Error("unknown split String empty")
+	over := srv
+	over.Rate = 0.5
+	if _, err := over.DecomposedRates(); !errors.Is(err, ErrOverloaded) {
+		t.Errorf("no slack: err = %v, want ErrOverloaded", err)
 	}
 }
 
@@ -188,6 +176,12 @@ func TestFeasibleOrderingInfeasible(t *testing.T) {
 	if _, err := srv.FeasibleOrdering([]float64{0.9, 0.9}); !errors.Is(err, ErrNoFeasibleOrdering) {
 		t.Errorf("err = %v, want ErrNoFeasibleOrdering", err)
 	}
+	// The test is exact over the float64 values: 0.9 + 0.05 + 0.05 is 1
+	// in decimal, but those float64 values sum past 1 by 2.8e-17.
+	three := Server{Rate: 1, Sessions: append(srv.Sessions, srv.Sessions[0])}
+	if _, err := three.FeasibleOrdering([]float64{0.9, 0.05, 0.05}); !errors.Is(err, ErrNoFeasibleOrdering) {
+		t.Errorf("rates past r by 2.8e-17: err = %v, want ErrNoFeasibleOrdering", err)
+	}
 	if _, err := srv.FeasibleOrdering([]float64{0.5}); err == nil {
 		t.Error("mismatched rates length: want error")
 	}
@@ -205,10 +199,62 @@ func TestFeasibleOrderingAlwaysExistsWhenRatesFit(t *testing.T) {
 		{0.2, 0.3, 0.5},
 		{0.5, 0.3, 0.2},
 		{0.15, 0.25, 0.35},
-		{0.9, 0.05, 0.05},
+		{0.875, 0.0625, 0.0625},
 	} {
 		if _, err := srv.FeasibleOrdering(rates); err != nil {
 			t.Errorf("rates %v: unexpected error %v", rates, err)
+		}
+	}
+}
+
+// TestExcessMatchesExactSum holds the feasibility test — the Sum2 fold
+// with its error bound, the granularity check inside it, and the exact
+// pass — to a math/big sum: rates spread over the whole float64 range
+// (subnormals included), and rates whose sum r meets exactly, so that r
+// itself, and r one ulp either side, put the test on its boundary.
+func TestExcessMatchesExactSum(t *testing.T) {
+	rng := source.NewRNG(5)
+	check := func(tag string, rates []float64, r float64) {
+		t.Helper()
+		want := bigExcess(t, rates, r)
+		sum := rateSum{s: -r}
+		for _, v := range rates {
+			sum = sum.plus(v)
+		}
+		w, _ := want.Float64()
+		w = max(w, 0)
+		// The fold may overestimate a positive excess by its error
+		// bound, but never underestimate it by more than rounding.
+		if e := sum.excess(rates, r); (e > 0) != (w > 0) || e < w*(1-0x1p-50) {
+			t.Fatalf("%s: folded excess %v, exact %v", tag, e, want)
+		}
+		_, lo := math.Frexp(min(r, slices.Min(rates)))
+		if e := exactExcess(rates, r, lo); (e > 0) != (w > 0) || math.Abs(e-w) > 0x1p-50*w {
+			t.Fatalf("%s: exact-pass excess %v, exact %v", tag, e, want)
+		}
+	}
+	// A tie whose smallest summand's last bit is narrower than the
+	// fold's bound: only the exact sum can tell.
+	for _, r := range []float64{1, math.Nextafter(1, 0), math.Nextafter(1, 2)} {
+		check("tie below the fold's bound", []float64{0.5, 0.5 - 0x1p-60, 0x1p-60}, r)
+	}
+	for trial := 0; trial < 300; trial++ {
+		rates := make([]float64, 1+rng.Intn(64))
+		float := 0.0
+		for i := range rates {
+			rates[i] = math.Ldexp(0.5+rng.Float64(), rng.Intn(2000)-1070)
+			float += rates[i]
+		}
+		for _, r := range []float64{float, math.Nextafter(float, 0), math.Nextafter(float, math.Inf(1)), 2 * float} {
+			check(fmt.Sprintf("spread %d", trial), rates, r)
+		}
+		exact := 0.0
+		for i := range rates {
+			rates[i] = math.Ldexp(float64(1+rng.Intn(1<<20)), -30)
+			exact += rates[i] // dyadic: every partial sum is exact
+		}
+		for _, r := range []float64{exact, math.Nextafter(exact, 0), math.Nextafter(exact, math.Inf(1))} {
+			check(fmt.Sprintf("dyadic %d", trial), rates, r)
 		}
 	}
 }

@@ -36,21 +36,9 @@ func TestValidateWrapsErrInvalidInput(t *testing.T) {
 	}
 }
 
-func TestDecomposedRatesRejectsNaNFrac(t *testing.T) {
-	srv := validationServer()
-	for _, frac := range []float64{math.NaN(), 0, -0.5, 1.5} {
-		if _, err := srv.DecomposedRates(SplitEqual, frac); !errors.Is(err, ErrInvalidInput) {
-			t.Errorf("frac %v: err = %v, want ErrInvalidInput", frac, err)
-		}
-	}
-	if _, err := srv.DecomposedRates(SplitEqual, 1); err != nil {
-		t.Errorf("frac 1 rejected: %v", err)
-	}
-}
-
 func TestFeasibleOrderingRejectsBadRates(t *testing.T) {
 	srv := validationServer()
-	good, err := srv.DecomposedRates(SplitEqual, 1)
+	good, err := srv.DecomposedRates()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import (
 
 func TestYaronSidiBoundsValid(t *testing.T) {
 	srv := set1Server(t)
-	rates, err := srv.DecomposedRates(SplitEqual, 1)
+	rates, err := srv.DecomposedRates()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestYaronSidiBoundsValid(t *testing.T) {
 // so the two coincide there.
 func TestYaronSidiFirstMatchesTheorem7(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	ys, err := srv.YaronSidiBounds(ord, rates, 0, XiOne)
 	if err != nil {
@@ -65,7 +65,7 @@ func TestYaronSidiFirstMatchesTheorem7(t *testing.T) {
 // session of the ordering.
 func TestYaronSidiLooserThanTheorem7(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	ys, err := srv.YaronSidiBounds(ord, rates, 0, XiOne)
 	if err != nil {
@@ -90,7 +90,7 @@ func TestYaronSidiLooserThanTheorem7(t *testing.T) {
 
 func TestYaronSidiValidation(t *testing.T) {
 	srv := set1Server(t)
-	rates, _ := srv.DecomposedRates(SplitEqual, 1)
+	rates, _ := srv.DecomposedRates()
 	ord, _ := srv.FeasibleOrdering(rates)
 	if _, err := srv.YaronSidiBounds(ord, rates, 1.5, XiOne); err == nil {
 		t.Error("theta fraction out of range: want error")

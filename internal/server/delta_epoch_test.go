@@ -587,7 +587,10 @@ func TestBoundsForTypeShared(t *testing.T) {
 			var adopted *Epoch
 			if err := d.exec(func() {
 				cur := d.epoch.Load()
-				wrong, err := gpsmath.AnalyzeServer(cur.Server, gpsmath.Options{Xi: gpsmath.XiOne, SlackFraction: 0.5})
+				// The epoch's sessions analyzed at 0.9 of its link rate:
+				// every decomposed rate and g differs.
+				slow := gpsmath.Server{Rate: 0.9 * cur.Server.Rate, Sessions: cur.Server.Sessions}
+				wrong, err := gpsmath.AnalyzeServer(slow, *d.cfg.Opts)
 				if err != nil {
 					t.Error(err)
 					return

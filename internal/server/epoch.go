@@ -333,29 +333,32 @@ func (d *Daemon) countClassify(ep *Epoch) {
 }
 
 // selfCheck compares a delta-built epoch's analysis against a
-// from-scratch AnalyzeServer over the same session slice. A mismatch
-// is surfaced as a metric, the fresh analysis is adopted into the
-// epoch (with its bookkeeping recomputed), and the incremental
-// analyzer is dropped so the next rebuild reseeds it. The replaced
-// analysis, never published, goes with the analyzer: there is none
-// left to recycle it into.
+// from-scratch AnalyzeServer over the same session slice. Both share
+// one rate routine and one exact eq. (5) test, so a difference is a bug
+// and is counted as a metric. A mismatch adopts the fresh analysis into
+// the epoch (with its bookkeeping recomputed) and drops the incremental
+// analyzer so the next rebuild reseeds it; the replaced analysis, never
+// published, goes with the analyzer. A refusal keeps the analyzer and
+// the epoch: dropping the analyzer would hand every later publish to
+// the constructor that refused.
 func (d *Daemon) selfCheck(ep *Epoch) {
 	d.met.SelfChecks.Add(1)
 	if ep.Analysis == nil {
 		return
 	}
 	fresh, err := gpsmath.AnalyzeServer(ep.Server, *d.cfg.Opts)
-	if err != nil || !analysesEquivalent(ep.Analysis, fresh, int(ep.Seq)) {
-		d.met.SelfCheckFailures.Add(1)
-		d.delta = nil
-		if err != nil {
-			return
-		}
-		ep.Analysis = fresh
-		ep.TargetsMet, ep.Guaranteed, ep.Degraded, ep.Infeasible = 0, 0, 0, 0
-		d.countTargets(ep)
-		d.countClassify(ep)
+	if err == nil && analysesEquivalent(ep.Analysis, fresh, int(ep.Seq)) {
+		return
 	}
+	d.met.SelfCheckFailures.Add(1)
+	if err != nil {
+		return
+	}
+	d.delta = nil
+	ep.Analysis = fresh
+	ep.TargetsMet, ep.Guaranteed, ep.Degraded, ep.Infeasible = 0, 0, 0, 0
+	d.countTargets(ep)
+	d.countClassify(ep)
 }
 
 // analysesEquivalent checks structural identity (rates, ordering,
